@@ -21,6 +21,7 @@ from .items import (
     ObjectItem,
     SequenceValue,
     render_atomic,
+    trusted_atomic,
 )
 from .ml import get_estimator, get_transformer, load_model, save_model
 from .modes import FRAME_MODE, ST_ESTIMATOR, ST_TRANSFORMER
@@ -33,6 +34,9 @@ class BuiltinSpec:
     result_mode: str  # "one" | "seq" | "frame"
     static_type: Optional[str]
     fn: Callable
+    # one-argument builtins may also take their argument as a bare item
+    # (None when empty), for callers that hold it unboxed
+    item_fn: Optional[Callable] = None
 
 
 def _single_item(seq: SequenceValue, what: str) -> Item:
@@ -65,8 +69,11 @@ def _bi_unparsed_text_lines(ev, it, ctx, args):
 
     def lines():
         with handle:
-            for line in handle:
-                yield AtomicValue("string", line.rstrip("\r\n"))
+            try:
+                for line in handle:
+                    yield AtomicValue("string", line.rstrip("\r\n"))
+            except UnicodeDecodeError as err:
+                raise SourceIOError(f"cannot read {uri}: {err}", it.node.pos) from err
 
     return SequenceValue.from_iter(lines())
 
@@ -81,7 +88,7 @@ def _bi_tokenize(ev, it, ctx, args):
     parts = text.split(sep)
     if text.endswith(sep):
         parts = parts[:-1]
-    return SequenceValue.from_list([AtomicValue("string", p) for p in parts])
+    return SequenceValue.from_list([trusted_atomic("string", p) for p in parts])
 
 
 def _bi_contains(ev, it, ctx, args):
@@ -113,13 +120,17 @@ def _bi_count(ev, it, ctx, args):
 def _bi_string(ev, it, ctx, args):
     items = args[0].iter_items()
     first = next(items, None)
-    if first is None:
-        return SequenceValue.single(AtomicValue("string", ""))
-    if next(items, None) is not None:
+    if first is not None and next(items, None) is not None:
         raise DynamicError("TYPE_ERROR", "string() expects at most one item")
-    if not isinstance(first, AtomicValue):
+    return SequenceValue.single(_string_of(first))
+
+
+def _string_of(item: Optional[Item]) -> AtomicValue:
+    if item is None:
+        return trusted_atomic("string", "")
+    if item.__class__ is not AtomicValue:
         raise DynamicError("TYPE_ERROR", "string() of an object, array, or function")
-    return SequenceValue.single(AtomicValue("string", render_atomic(first)))
+    return trusted_atomic("string", render_atomic(item))
 
 
 def _bi_annotate(ev, it, ctx, args):
@@ -184,7 +195,7 @@ CATALOG: "dict[str, BuiltinSpec]" = {
         BuiltinSpec("head#1", "seq", None, _bi_head),
         BuiltinSpec("tail#1", "seq", None, _bi_tail),
         BuiltinSpec("count#1", "one", None, _bi_count),
-        BuiltinSpec("string#1", "one", None, _bi_string),
+        BuiltinSpec("string#1", "one", None, _bi_string, item_fn=_string_of),
         BuiltinSpec("annotate#2", "frame", None, _bi_annotate),
         BuiltinSpec("get-transformer#2", "one", ST_TRANSFORMER, _bi_get_transformer),
         BuiltinSpec("get-estimator#2", "one", ST_ESTIMATOR, _bi_get_estimator),

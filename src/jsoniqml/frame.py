@@ -9,6 +9,7 @@ and observationally equivalent to the stream of their row objects.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -35,6 +36,16 @@ _NUMPY_SCALAR = {
 }
 
 _LIST_SCALAR = {"String", "Decimal", "Date", "Timestamp", "Binary"}
+
+# builders collect these kinds unboxed, eight bytes a value
+_ARRAY_TYPECODE = {
+    "Byte": "q",
+    "Short": "q",
+    "Integer": "q",
+    "Long": "q",
+    "Double": "d",
+    "Float": "d",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +153,8 @@ class _ScalarBuilder:
     def __init__(self, ctype: FrameColumnType):
         self.ctype = ctype
         self.kind = FRAME_TO_ATOMIC[ctype.kind]
-        self.values: list = []
+        typecode = _ARRAY_TYPECODE.get(ctype.kind)
+        self.values = [] if typecode is None else array(typecode)
         self.count = 0
 
     def append(self, item: Item):

@@ -100,6 +100,19 @@ class AtomicValue:
                 raise ValueError("hexBinary expects bytes")
 
 
+_new_object = object.__new__
+_set_field = object.__setattr__  # bypasses the frozen dataclass's guard
+
+
+def trusted_atomic(kind: str, value: Any) -> AtomicValue:
+    """An AtomicValue built without the constructor's checks, for callers
+    whose kind and payload are valid by construction (counts, positions,
+    rendered strings, arithmetic results)."""
+    av = _new_object(AtomicValue)
+    _set_field(av, "kind", kind)
+    _set_field(av, "value", value)
+    return av
+
 NULL = AtomicValue("null", None)
 TRUE = AtomicValue("boolean", True)
 FALSE = AtomicValue("boolean", False)
@@ -530,13 +543,18 @@ def effective_boolean_value(seq: SequenceValue) -> bool:
     """Empty is false; a single atomic follows its kind; anything else errors."""
     it = seq.iter_items()
     first = next(it, None)
-    if first is None:
-        return False
-    if next(it, None) is not None:
+    if first is not None and next(it, None) is not None:
         raise DynamicError("EBV_ERROR", "effective boolean value of a multi-item sequence")
-    if not isinstance(first, AtomicValue):
+    return item_ebv(first)
+
+
+def item_ebv(item: "Optional[Item]") -> bool:
+    """Effective boolean value of at most one item; None is the empty sequence."""
+    if item is None:
+        return False
+    if item.__class__ is not AtomicValue:
         raise DynamicError("EBV_ERROR", "effective boolean value of an object, array, or function")
-    kind, value = first.kind, first.value
+    kind, value = item.kind, item.value
     if kind == "boolean":
         return value
     if kind == "string":

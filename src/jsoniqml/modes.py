@@ -1,7 +1,7 @@
 """Execution modes: the runtime-iterator tree and static mode inference.
 
 Each resolved expression becomes one runtime iterator. Inference assigns one
-of three modes per iterator: LOCAL_ONE (exactly one item, direct call),
+of three modes per iterator: LOCAL_ONE (at most one item, direct call),
 LOCAL_SEQ (volcano-style pull iteration), FRAME (columnar). LOCAL_SEQ is the
 most general; conflicting evidence meets there. User-function modes are
 inferred from actual parameter modes in repeated passes over the call graph
@@ -87,6 +87,18 @@ def _combine_stype(a, b):
 class RuntimeIterator:
     """One node of the executable tree; mirrors a resolved AST node."""
 
+    __slots__ = (
+        "kind",
+        "node",
+        "children",
+        "mode",
+        "static_type",
+        "call_assumption",
+        "frame_lowered",
+        "clause_iters",
+        "return_iter",
+    )
+
     def __init__(self, kind: str, node, children: "list[RuntimeIterator]"):
         self.kind = kind
         self.node = node
@@ -122,6 +134,9 @@ class CompiledTree:
     root: RuntimeIterator
     functions: "dict[str, FunctionInfo]"
     passes: int = 0
+    # the runtime's compiled program, built on first evaluation; it depends
+    # on the inferred modes, so inference clears it
+    program: object = None
 
 
 def build_tree(resolved: ResolvedModule) -> CompiledTree:
@@ -298,8 +313,9 @@ class _InferencePass:
                 return LOCAL_SEQ, None
             return self.assign(it.children[0], env)
         if kind == "lookup":
-            self.assign(it.children[0], env)
-            return LOCAL_SEQ, None
+            base_mode, _ = self.assign(it.children[0], env)
+            # a key of at most one object is at most one value
+            return (LOCAL_ONE if base_mode == LOCAL_ONE else LOCAL_SEQ), None
         if kind == "predicate":
             base_mode, _ = self.assign(it.children[0], env)
             self.assign(it.children[1], env)
@@ -310,6 +326,15 @@ class _InferencePass:
             )
             return (FRAME_MODE if it.frame_lowered else LOCAL_SEQ), None
         if kind == "fnref":
+            target_kind, target = node.target
+            if target_kind == "user":
+                # a function item can be called with anything: its parameters
+                # must take the most general mode and no static type
+                pend_m = self.pending_param_modes[target.key]
+                pend_s = self.pending_param_stypes[target.key]
+                for i in range(len(pend_m)):
+                    pend_m[i] = combine_modes(pend_m[i], LOCAL_SEQ)
+                    pend_s[i] = _combine_stype(pend_s[i], None)
             return LOCAL_ONE, None
         if kind == "static-call":
             target_kind, target = node.target
@@ -437,4 +462,5 @@ def infer_execution_modes(tree: CompiledTree, catalog, policy: str) -> CompiledT
             info.body_mode = LOCAL_SEQ
         info.param_modes = [LOCAL_SEQ if m == BOTTOM else m for m in info.param_modes]
     tree.passes = passes
+    tree.program = None
     return tree

@@ -71,6 +71,15 @@ class TestExitCodes:
         query = write(tmp_path / "q.jq", 'unparsed-text-lines("/definitely/missing.txt")')
         assert run_cli("run", "--query", query) == 4
 
+    def test_non_utf8_input_is_4(self, tmp_path, capsys):
+        data = tmp_path / "bad.txt"
+        data.write_bytes(b"ok line\n\xff\xfe not utf-8\n")
+        query = write(tmp_path / "q.jq", f'count(unparsed-text-lines("{data}"))')
+        assert run_cli("run", "--query", query) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[IO_ERROR] at line 1, column 7:")
+        assert "Traceback" not in err
+
     def test_missing_query_file_is_4(self, tmp_path):
         assert run_cli("run", "--query", str(tmp_path / "absent.jq")) == 4
 

@@ -184,3 +184,58 @@ class TestCombine:
         assert combine_modes(FRAME_MODE, FRAME_MODE) == FRAME_MODE
         assert combine_modes(LOCAL_ONE, FRAME_MODE) == LOCAL_SEQ
         assert combine_modes(LOCAL_SEQ, LOCAL_ONE) == LOCAL_SEQ
+
+
+FRAME_PARAM_VIA_ITEM = (
+    "declare function local:f($d){ count(for $r in $d where $r.a eq 1 return $r) }; "
+    "let $g := local:f#1 "
+    'let $fr := annotate(for $i in 1 to 3 return {"a": $i}, {"a": "int"}) '
+    'return [local:f($fr), $g(for $i in 1 to 3 return {"a": $i})]'
+)
+
+ONE_PARAM_VIA_ITEM = (
+    "declare function local:f($x){ count($x) }; "
+    "let $g := local:f#1 return [local:f(1), $g(1 to 5)]"
+)
+
+
+class TestFunctionItems:
+    """A function used as an item can be called with any argument, so static
+    callers alone cannot fix its parameter modes."""
+
+    def test_referenced_function_params_are_most_general(self):
+        for text in (FRAME_PARAM_VIA_ITEM, ONE_PARAM_VIA_ITEM):
+            for policy in ("auto", "force-local", "frame"):
+                info = compiled(text, policy).tree.functions["local:f#1"]
+                assert info.param_modes == [LOCAL_SEQ]
+                assert info.param_stypes == [None]
+
+    def test_frame_param_called_through_item_agrees_across_policies(self):
+        from jsoniqml import run_query_lines
+
+        results = {
+            policy: run_query_lines(FRAME_PARAM_VIA_ITEM, policy=policy)
+            for policy in ("auto", "force-local", "frame")
+        }
+        assert set(map(tuple, results.values())) == {("[1, 1]",)}
+
+    def test_one_param_called_through_item_agrees_across_policies(self):
+        from jsoniqml import run_query_lines
+
+        results = {
+            policy: run_query_lines(ONE_PARAM_VIA_ITEM, policy=policy)
+            for policy in ("auto", "force-local", "frame")
+        }
+        assert set(map(tuple, results.values())) == {("[1, 5]",)}
+
+
+class TestLookupModes:
+    def test_lookup_of_one_item_is_local_one(self):
+        tree = compiled('for $r in (for $i in 1 to 2 return {"a": $i}) return $r.a').tree
+        lookup = find_iters(tree.root, "lookup")[0]
+        assert lookup.mode == LOCAL_ONE
+
+    def test_lookup_of_a_sequence_is_local_seq(self):
+        tree = compiled('(for $i in 1 to 2 return {"a": $i}).a').tree
+        lookup = find_iters(tree.root, "lookup")[0]
+        assert lookup.mode == LOCAL_SEQ

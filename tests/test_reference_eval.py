@@ -1,5 +1,8 @@
 """Differential check: engine vs naive tuple-stream reference evaluator."""
 
+import random
+import re
+
 import pytest
 
 from jsoniqml.builtins import CATALOG
@@ -62,3 +65,21 @@ def test_generated_queries_match_reference(base_seed):
         seed = base_seed * 1000 + offset
         text = print_module(generate_module(seed))
         engine_vs_reference(text)
+
+
+# generated queries raise almost never, so error paths are checked on
+# mutants: one number literal replaced by a value of another kind or shape
+_MUTANT_VALUES = ('"s"', "{}", "(1 to 2)", "0", "()", "[1]", "null", "2.5", "true")
+_NUMBER_LITERAL = re.compile(r'(?<![\w$."#])\d+(\.\d+)?(?![\w"])')
+
+
+@pytest.mark.parametrize("base_seed", range(4))
+def test_mutated_queries_match_reference_values_and_error_codes(base_seed):
+    rng = random.Random(base_seed)
+    for offset in range(100):
+        text = print_module(generate_module(base_seed * 1000 + offset))
+        literals = list(_NUMBER_LITERAL.finditer(text))
+        if not literals:
+            continue
+        m = rng.choice(literals)
+        engine_vs_reference(text[: m.start()] + rng.choice(_MUTANT_VALUES) + text[m.end() :])

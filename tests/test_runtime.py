@@ -250,3 +250,13 @@ class TestModeEquivalenceSmoke:
         local = run_query_lines(query, policy="force-local")
         frame = run_query_lines(query, policy="frame")
         assert auto == local == frame
+
+
+class TestRecursionDepth:
+    def test_recursion_120_deep_under_every_policy(self):
+        query = (
+            "declare function local:f($n)"
+            "{ if ($n le 0) then 0 else local:f($n - 1) + 1 }; local:f(120)"
+        )
+        for policy in ("auto", "force-local", "frame"):
+            assert run_query_lines(query, policy=policy) == ["120"]
