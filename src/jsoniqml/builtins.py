@@ -13,19 +13,20 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .errors import DynamicError, SourceIOError
-from .frame import annotate_rows
+from .frame import annotate_rows, annotate_schema, validated_rows
 from .items import (
     AtomicValue,
     FunctionItem,
     Item,
-    ObjectItem,
     SequenceValue,
     render_atomic,
     trusted_atomic,
 )
 from .ml import get_estimator, get_transformer, load_model, save_model
 from .modes import FRAME_MODE, ST_ESTIMATOR, ST_TRANSFORMER
-from .schema import parse_schema, validate_item
+# unused here, but perfbench/tracing.py swaps `validate_item` in this module
+# as well as in `frame`, so the name must stay bound
+from .schema import validate_item  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -138,26 +139,10 @@ def _bi_annotate(ev, it, ctx, args):
     rows = args[0]
     if it.mode == FRAME_MODE:
         return SequenceValue.from_frame(annotate_rows(rows.iter_items(), descriptor))
-
-    # local mode: validate lazily, one row at a time
-    td = parse_schema(descriptor)
-    if td.kind != "record":
-        raise DynamicError("MALFORMED_SCHEMA", "annotate requires an object schema")
-
-    def validated():
-        index = 0
-        for row in rows.iter_items():
-            if not isinstance(row, ObjectItem):
-                raise DynamicError(
-                    "NON_OBJECT_ROW", f"row {index} is not an object ({type(row).__name__})"
-                )
-            try:
-                yield validate_item(row, td)
-            except DynamicError as err:
-                raise DynamicError(err.code, f"row {index}: {err.message}") from err
-            index += 1
-
-    return SequenceValue.from_iter(validated())
+    # local mode validates lazily; a bad row raises at this call's position
+    # even though the rows are pulled after it returns
+    record = annotate_schema(descriptor)
+    return SequenceValue.from_iter(validated_rows(rows.iter_items(), record, it.node.pos))
 
 
 def _bi_get_transformer(ev, it, ctx, args):

@@ -5,25 +5,24 @@ numeric columns are flat numpy buffers; array columns hold a nondecreasing
 offsets vector plus a flattened member column (dense vector storage); record
 columns are nested column groups. Frames are immutable after construction
 and observationally equivalent to the stream of their row objects.
+
+`annotate` has one row loop, `validated_rows`: it checks each row against
+the frame type the schema parses to, through `validate_item`. Local mode
+streams its output; `annotate_rows` transposes it into column builders,
+which append without checking again.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import DynamicError
 from .items import ArrayItem, AtomicValue, Item, ObjectItem, SequenceValue
-from .schema import (
-    FRAME_TO_ATOMIC,
-    FrameColumnType,
-    map_frame_type,
-    parse_schema,
-    validate_item,
-)
+from .schema import FRAME_TO_ATOMIC, FrameColumnType, parse_schema, validate_item
 
 _NUMPY_SCALAR = {
     "Byte": np.int64,
@@ -140,33 +139,23 @@ class RecordColumn(ColumnVector):
 
 
 # ---------------------------------------------------------------------------
-# Builders
+# Builders: they append rows that `validate_item` has already checked, so
+# they check nothing themselves.
 # ---------------------------------------------------------------------------
-
-
-def _mismatch(expected: str, item) -> DynamicError:
-    got = type(item).__name__
-    return DynamicError("SCHEMA_MISMATCH", f"column expects {expected}, got {got}")
 
 
 class _ScalarBuilder:
     def __init__(self, ctype: FrameColumnType):
         self.ctype = ctype
-        self.kind = FRAME_TO_ATOMIC[ctype.kind]
         typecode = _ARRAY_TYPECODE.get(ctype.kind)
         self.values = [] if typecode is None else array(typecode)
-        self.count = 0
 
     def append(self, item: Item):
-        if not isinstance(item, AtomicValue) or item.kind != self.kind:
-            raise _mismatch(self.kind, item)
-        self.count += 1
-        if self.ctype.kind != "Null":
-            self.values.append(item.value)
+        self.values.append(item.value)
 
     def finish(self) -> ScalarColumn:
         if self.ctype.kind == "Null":
-            return ScalarColumn(self.ctype, self.count)
+            return ScalarColumn(self.ctype, len(self.values))
         np_type = _NUMPY_SCALAR.get(self.ctype.kind)
         if np_type is not None:
             return ScalarColumn(self.ctype, np.array(self.values, dtype=np_type))
@@ -180,8 +169,6 @@ class _ArrayBuilder:
         self.offsets = [0]
 
     def append(self, item: Item):
-        if not isinstance(item, ArrayItem):
-            raise _mismatch("array", item)
         for member in item.members:
             self.flat.append(member)
         self.offsets.append(self.offsets[-1] + len(item.members))
@@ -199,12 +186,9 @@ class _RecordBuilder:
         self.count = 0
 
     def append(self, item: Item):
-        if not isinstance(item, ObjectItem):
-            raise _mismatch("object", item)
+        pairs = item.pairs
         for name, builder in self.children:
-            if name not in item.pairs:
-                raise _mismatch(f"field {name}", item)
-            builder.append(item.pairs[name])
+            builder.append(pairs[name])
         self.count += 1
 
     def finish(self) -> RecordColumn:
@@ -271,34 +255,9 @@ class Frame:
         )
 
 
-def record_type_of(frame: Frame) -> FrameColumnType:
-    return FrameColumnType("Record", fields=tuple(frame.schema))
-
-
 # ---------------------------------------------------------------------------
 # Frame operations
 # ---------------------------------------------------------------------------
-
-
-def frame_from_items(rows: "Iterable[Item]", record: FrameColumnType) -> Frame:
-    """Columnar transpose of already-validated rows."""
-    if record.kind != "Record":
-        raise DynamicError("MALFORMED_SCHEMA", "frame schema must be a record type")
-    builders = [(name, make_builder(t)) for name, t in record.fields]
-    nrows = 0
-    for row in rows:
-        if not isinstance(row, ObjectItem):
-            raise _mismatch("object row", row)
-        if set(row.pairs.keys()) != {n for n, _ in record.fields}:
-            raise DynamicError("SCHEMA_MISMATCH", "row fields do not match the schema")
-        for name, builder in builders:
-            builder.append(row.pairs[name])
-        nrows += 1
-    return Frame(
-        [(name, t) for name, t in record.fields],
-        [b.finish() for _, b in builders],
-        nrows,
-    )
 
 
 def frame_to_items(frame: Frame) -> SequenceValue:
@@ -306,87 +265,53 @@ def frame_to_items(frame: Frame) -> SequenceValue:
     return SequenceValue.from_iter(frame.iter_items())
 
 
+def annotate_schema(descriptor: Item) -> FrameColumnType:
+    """The record type an `annotate` descriptor declares."""
+    record = parse_schema(descriptor)
+    if record.kind != "Record":
+        raise DynamicError("MALFORMED_SCHEMA", "annotate requires an object schema")
+    return record
+
+
+def validated_rows(
+    rows: "Iterable[Item]", record: FrameColumnType, pos=None
+) -> "Iterator[ObjectItem]":
+    """Validate each row against the record type, lazily, one at a time.
+
+    Failures carry the 0-based row index and the source position `pos`.
+    """
+    for i, row in enumerate(rows):
+        if not isinstance(row, ObjectItem):
+            raise DynamicError(
+                "NON_OBJECT_ROW", f"row {i} is not an object ({type(row).__name__})", pos
+            )
+        try:
+            validated = validate_item(row, record)
+        except DynamicError as err:
+            raise DynamicError(err.code, f"row {i}: {err.message}", pos) from err
+        yield validated
+
+
 def annotate_rows(rows: "Iterable[Item]", descriptor: Item) -> Frame:
     """Validate each row against the descriptor and store columnar.
 
     Rows are consumed one at a time and go straight into column builders, so
-    the item sequence is never materialized. Validation failures carry the
-    0-based row index.
+    the item sequence is never materialized.
     """
-    td = parse_schema(descriptor)
-    if td.kind != "record":
-        raise DynamicError("MALFORMED_SCHEMA", "annotate requires an object schema")
-    record = map_frame_type(td)
-    builders = [(name, make_builder(t)) for name, t in record.fields]
-    nrows = 0
-    for row in rows:
-        if not isinstance(row, ObjectItem):
-            raise DynamicError(
-                "NON_OBJECT_ROW", f"row {nrows} is not an object ({type(row).__name__})"
-            )
-        try:
-            validated = validate_item(row, td)
-        except DynamicError as err:
-            raise DynamicError(err.code, f"row {nrows}: {err.message}") from err
-        for name, builder in builders:
-            builder.append(validated.pairs[name])
-        nrows += 1
-    return Frame(
-        [(name, t) for name, t in record.fields],
-        [b.finish() for _, b in builders],
-        nrows,
-    )
+    record = annotate_schema(descriptor)
+    builder = _RecordBuilder(record)
+    for row in validated_rows(rows, record):
+        builder.append(row)
+    column = builder.finish()
+    return Frame(list(record.fields), [col for _, col in column.children], column.nrows)
 
 
-def frame_filter(
-    frame: Frame,
-    predicate: "Callable[[ObjectItem], bool]",
-    block_size: Optional[int] = None,
-) -> Frame:
-    """Keep rows whose predicate holds; order and schema are unchanged.
-
-    `block_size` chunks the row range; results are independent of it.
-    """
-    step = block_size or max(frame.nrows, 1)
-    masks = []
-    for start in range(0, frame.nrows, step):
-        block = np.zeros(min(step, frame.nrows - start), dtype=bool)
-        for k in range(len(block)):
-            i = start + k
-            try:
-                block[k] = predicate(frame.row_item(i))
-            except DynamicError as err:
-                raise DynamicError(err.code, f"row {i}: {err.message}", err.position) from err
-        masks.append(block)
-    if masks:
-        mask = np.concatenate(masks)
-        indices = np.nonzero(mask)[0]
-    else:
-        indices = np.zeros(0, dtype=np.int64)
-    return frame.take(indices)
-
-
-def frame_add_column(
-    frame: Frame, name: str, ctype: FrameColumnType, generator: "Callable[[ObjectItem], Item]"
-) -> Frame:
-    """Append a generated column; existing columns are shared unchanged."""
-    if frame.has_column(name):
-        raise DynamicError("DUPLICATE_COLUMN", f"column {name!r} already exists")
-    builder = make_builder(ctype)
+def frame_filter(frame: Frame, predicate: "Callable[[ObjectItem], bool]") -> Frame:
+    """Keep rows whose predicate holds; order and schema are unchanged."""
+    mask = np.zeros(frame.nrows, dtype=bool)
     for i in range(frame.nrows):
-        builder.append(generator(frame.row_item(i)))
-    return frame.with_column(name, ctype, builder.finish())
-
-
-def frame_project(frame: Frame, names: "list[str]") -> Frame:
-    cols = []
-    schema = []
-    for name in names:
-        ctype, col = frame.column(name)
-        schema.append((name, ctype))
-        cols.append(col)
-    return Frame(schema, cols, frame.nrows)
-
-
-def frame_count(frame: Frame) -> int:
-    return frame.nrows
+        try:
+            mask[i] = predicate(frame.row_item(i))
+        except DynamicError as err:
+            raise DynamicError(err.code, f"row {i}: {err.message}", err.position) from err
+    return frame.take(np.nonzero(mask)[0])

@@ -24,7 +24,7 @@ from ..items import (
     atomic_cast,
 )
 from ..runtime import NativeHandle
-from ..schema import FRAME_TO_ATOMIC, FrameColumnType, TypeDescriptor, map_frame_type
+from ..schema import ATOMIC_TO_FRAME, FRAME_TO_ATOMIC, FrameColumnType
 from . import kernels
 from .params import (
     ESTIMATOR_NAMES,
@@ -138,7 +138,7 @@ def _vector_column(X: np.ndarray) -> ArrayColumn:
 
 def _prediction_column(preds: np.ndarray, label_kind: str):
     """Predictions mirror the atomic kind of the label column seen at fit."""
-    ctype = map_frame_type(TypeDescriptor.atomic(label_kind))
+    ctype = FrameColumnType(ATOMIC_TO_FRAME[label_kind])
     ints = preds.astype(np.int64)
     if label_kind == "string":
         values = [str(int(v)) for v in ints]

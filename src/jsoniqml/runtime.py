@@ -982,7 +982,12 @@ def _order_tuples(ev, clause, tuples):
     for t in tuples:
         if len(collected) >= ev.cap:
             raise MaterializationCapError(ev.cap)
-        atom = key_atom(key(ev, t), "order-by key")
+        value = key(ev, t)
+        try:
+            atom = key_atom(value, "order-by key")
+        except DynamicError as err:
+            _locate(err, pos)
+            raise
         collected.append((_sort_key(atom, pos), t))
     classes = {k[0] for k, _ in collected}
     if len(classes) > 1:

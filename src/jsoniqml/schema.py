@@ -1,10 +1,11 @@
-"""Compact schema descriptors, validation, and frame-type derivation.
+"""Compact schema descriptors and validation against them.
 
 A descriptor is itself an item: a string names an atomic type, a one-element
 array wraps a member type, and an object maps field names to nested
-descriptors. Validation is cast-based: atomic values are coerced to the
-declared kind, all declared fields are required, and undeclared fields are
-rejected.
+descriptors. Parsing a descriptor yields its frame column type directly, and
+validation walks that type. Validation is cast-based: atomic values are
+coerced to the declared kind, all declared fields are required, and
+undeclared fields are rejected.
 """
 
 from __future__ import annotations
@@ -21,46 +22,6 @@ from .items import (
     atomic_cast,
 )
 
-# Atomic names admitted in schemas: the distinct atomic rows of the
-# frame-type mapping table. Arbitrary-precision `integer` is intentionally
-# not among them.
-SCHEMA_ATOMIC_KINDS = frozenset(
-    {
-        "byte",
-        "short",
-        "int",
-        "long",
-        "boolean",
-        "double",
-        "float",
-        "decimal",
-        "string",
-        "null",
-        "date",
-        "dateTime",
-        "hexBinary",
-    }
-)
-
-
-@dataclass(frozen=True)
-class TypeDescriptor:
-    kind: str  # atomic name | "array" | "record"
-    member: "Optional[TypeDescriptor]" = None
-    fields: "Optional[tuple[tuple[str, TypeDescriptor], ...]]" = None
-
-    @classmethod
-    def atomic(cls, kind: str) -> "TypeDescriptor":
-        return cls(kind)
-
-    @classmethod
-    def array(cls, member: "TypeDescriptor") -> "TypeDescriptor":
-        return cls("array", member=member)
-
-    @classmethod
-    def record(cls, fields) -> "TypeDescriptor":
-        return cls("record", fields=tuple(fields))
-
 
 @dataclass(frozen=True)
 class FrameColumnType:
@@ -70,7 +31,9 @@ class FrameColumnType:
     fields: "Optional[tuple[tuple[str, FrameColumnType], ...]]" = None
 
 
-_ATOMIC_TO_FRAME = {
+# The atomic names admitted in schemas and the frame kind each maps to.
+# Arbitrary-precision `integer` is intentionally not among them.
+ATOMIC_TO_FRAME = {
     "byte": "Byte",
     "short": "Short",
     "int": "Integer",
@@ -87,79 +50,68 @@ _ATOMIC_TO_FRAME = {
 }
 
 # The frame vocabulary maps back onto item kinds one-to-one.
-FRAME_TO_ATOMIC = {v: k for k, v in _ATOMIC_TO_FRAME.items()}
+FRAME_TO_ATOMIC = {v: k for k, v in ATOMIC_TO_FRAME.items()}
 
 
-def parse_schema(descriptor: Item) -> TypeDescriptor:
-    """Parse a descriptor item into a structural TypeDescriptor."""
+def parse_schema(descriptor: Item) -> FrameColumnType:
+    """Parse a descriptor item into the frame type it declares."""
     if isinstance(descriptor, AtomicValue):
         if descriptor.kind != "string":
             raise DynamicError(
                 "MALFORMED_SCHEMA", f"atomic type name must be a string, got {descriptor.kind}"
             )
         name = descriptor.value
-        if name not in SCHEMA_ATOMIC_KINDS:
+        if name not in ATOMIC_TO_FRAME:
             raise DynamicError("UNKNOWN_TYPE_NAME", f"unknown type name {name!r}")
-        return TypeDescriptor.atomic(name)
+        return FrameColumnType(ATOMIC_TO_FRAME[name])
     if isinstance(descriptor, ArrayItem):
         if len(descriptor.members) != 1:
             raise DynamicError(
                 "MALFORMED_SCHEMA",
                 f"array descriptor must have exactly one member, got {len(descriptor.members)}",
             )
-        return TypeDescriptor.array(parse_schema(descriptor.members[0]))
+        return FrameColumnType("Array", member=parse_schema(descriptor.members[0]))
     if isinstance(descriptor, ObjectItem):
-        fields = []
-        for name, sub in descriptor.pairs.items():
-            fields.append((name, parse_schema(sub)))
-        return TypeDescriptor.record(fields)
-    raise DynamicError("MALFORMED_SCHEMA", "descriptor must be a string, array, or object")
-
-
-def map_frame_type(td: TypeDescriptor) -> FrameColumnType:
-    """Apply the type-mapping table row by row, recursing into members."""
-    if td.kind == "array":
-        return FrameColumnType("Array", member=map_frame_type(td.member))
-    if td.kind == "record":
         return FrameColumnType(
-            "Record", fields=tuple((n, map_frame_type(t)) for n, t in td.fields)
+            "Record",
+            fields=tuple((name, parse_schema(sub)) for name, sub in descriptor.pairs.items()),
         )
-    return FrameColumnType(_ATOMIC_TO_FRAME[td.kind])
+    raise DynamicError("MALFORMED_SCHEMA", "descriptor must be a string, array, or object")
 
 
 def _fail(path: str, reason: str):
     raise DynamicError("VALIDATION_ERROR", f"at {path}: {reason}")
 
 
-def validate_item(item: Item, td: TypeDescriptor, path: str = "$") -> Item:
+def validate_item(item: Item, ctype: FrameColumnType, path: str = "$") -> Item:
     """Return the annotated item: atomics cast to the declared kind, records
     checked for exactly the declared fields, arrays validated member-wise."""
-    if td.kind == "record":
+    if ctype.kind == "Record":
         if not isinstance(item, ObjectItem):
             _fail(path, "expected an object")
-        declared = dict(td.fields)
         out = {}
-        for name, sub_td in td.fields:
+        for name, sub in ctype.fields:
             if name not in item.pairs:
                 _fail(f"{path}.{name}", "missing field")
-            out[name] = validate_item(item.pairs[name], sub_td, f"{path}.{name}")
+            out[name] = validate_item(item.pairs[name], sub, f"{path}.{name}")
+        # `out` now holds exactly the declared fields
         for name in item.pairs:
-            if name not in declared:
+            if name not in out:
                 _fail(f"{path}.{name}", "field not declared in schema")
         return ObjectItem(out)
-    if td.kind == "array":
+    if ctype.kind == "Array":
         if not isinstance(item, ArrayItem):
             _fail(path, "expected an array")
         return ArrayItem(
-            [validate_item(m, td.member, f"{path}[{i}]") for i, m in enumerate(item.members)]
+            [validate_item(m, ctype.member, f"{path}[{i}]") for i, m in enumerate(item.members)]
         )
-    # atomic
+    kind = FRAME_TO_ATOMIC[ctype.kind]
     if not isinstance(item, AtomicValue):
-        _fail(path, f"expected an atomic of kind {td.kind}")
-    if item.kind == "null" and td.kind != "null":
-        _fail(path, f"null is not a {td.kind}")
+        _fail(path, f"expected an atomic of kind {kind}")
+    if item.kind == "null" and kind != "null":
+        _fail(path, f"null is not a {kind}")
     try:
-        return atomic_cast(item, td.kind)
+        return atomic_cast(item, kind)
     except DynamicError as err:
-        _fail(path, f"cannot cast {item.kind} to {td.kind}: {err.message}")
+        _fail(path, f"cannot cast {item.kind} to {kind}: {err.message}")
     raise AssertionError  # unreachable

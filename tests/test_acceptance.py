@@ -14,7 +14,7 @@ import pytest
 from jsoniqml.cli import main as cli_main
 from jsoniqml.datagen import generate_dataset
 from jsoniqml.errors import DynamicError
-from jsoniqml.frame import frame_from_items, frame_to_items
+from jsoniqml.frame import annotate_rows, frame_to_items
 from jsoniqml.items import (
     ArrayItem,
     AtomicValue,
@@ -30,7 +30,7 @@ from jsoniqml.ml.params import validate_params
 from jsoniqml.ml.persistence import load_model, save_model
 from jsoniqml.ml.registry import get_estimator, get_transformer
 from jsoniqml.printer import print_module
-from jsoniqml.schema import FrameColumnType, map_frame_type, parse_schema
+from jsoniqml.schema import FrameColumnType, parse_schema
 
 from corpus import CORPUS
 from querygen import generate_module
@@ -158,8 +158,7 @@ def test_criterion_3_type_mapping_table():
     """All 16 rows of the type-mapping table, exact equality."""
     assert len(TYPE_TABLE) == 16
     for source, expected in TYPE_TABLE:
-        td = parse_schema(from_py(source))
-        assert map_frame_type(td) == expected, source
+        assert parse_schema(from_py(source)) == expected, source
     report(3, "16/16 type-mapping rows exact")
 
 
@@ -337,7 +336,7 @@ def test_criterion_8_round_trips(tmp_path):
 
     # rows <-> frame
     descriptor = from_py({"s": "string", "x": "double", "v": ["double"], "m": {"n": "int"}})
-    td = parse_schema(descriptor)
+    record = parse_schema(descriptor)
     from jsoniqml.schema import validate_item
 
     rows = [
@@ -350,11 +349,11 @@ def test_criterion_8_round_trips(tmp_path):
                     "m": {"n": i},
                 }
             ),
-            td,
+            record,
         )
         for i in range(25)
     ]
-    frame = frame_from_items(rows, map_frame_type(td))
+    frame = annotate_rows(iter(rows), descriptor)
     back = list(frame_to_items(frame).iter_items())
     assert len(back) == len(rows)
     for a, b in zip(back, rows):

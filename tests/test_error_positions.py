@@ -3,9 +3,7 @@
 Each row is one failing query, run under all three mode policies. The
 expected outcome is a `(code, (line, column), message prefix)` triple, or a
 dict from policy to triple where the policies legitimately differ: a
-lowered frame filter prefixes `row i:` to errors raised for a row, and a
-lazily validating local `annotate` surfaces its error in whichever iterator
-pulls the rows.
+lowered frame filter prefixes `row i:` to errors raised for a row.
 """
 
 import pytest
@@ -67,6 +65,10 @@ CASES = [
         "for $x in 1 to 2 order by () return $x",
         ("TYPE_ERROR", (1, 18), "order-by key must not be empty"),
     ),
+    (
+        "for $x in 1 to 2 order by {} return $x",
+        ("TYPE_ERROR", (1, 18), "order-by key requires an atomic value"),
+    ),
     ("string((1 to 2))", ("TYPE_ERROR", (1, 1), "string() expects at most one item")),
     ("count((1 to 3)[$$ idiv 0])", ("DIVISION_BY_ZERO", (1, 19), "idiv by zero")),
     (
@@ -97,7 +99,7 @@ CASES = [
         f"count({BAD_ROWS})",
         _by_policy(
             ("VALIDATION_ERROR", (1, 7), "row 1: at $.a: cannot cast string to int"),
-            ("VALIDATION_ERROR", (1, 1), "row 1: at $.a: cannot cast string to int"),
+            ("VALIDATION_ERROR", (1, 7), "row 1: at $.a: cannot cast string to int"),
             ("VALIDATION_ERROR", (1, 7), "row 1: at $.a: cannot cast string to int"),
         ),
     ),

@@ -3,17 +3,9 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from jsoniqml.errors import DynamicError
-from jsoniqml.frame import (
-    annotate_rows,
-    frame_add_column,
-    frame_count,
-    frame_filter,
-    frame_from_items,
-    frame_project,
-    frame_to_items,
-)
-from jsoniqml.items import AtomicValue, ArrayItem, deep_equal, from_py
-from jsoniqml.schema import FrameColumnType, map_frame_type, parse_schema, validate_item
+from jsoniqml.frame import annotate_rows, frame_filter, frame_to_items
+from jsoniqml.items import deep_equal, from_py
+from jsoniqml.schema import parse_schema, validate_item
 
 
 def small_frame():
@@ -28,21 +20,9 @@ def label_eq_prediction(row):
 
 class TestFromToItems:
     def test_two_int_rows(self):
-        td = parse_schema(from_py({"a": "int"}))
-        rows = [validate_item(from_py({"a": 1}), td), validate_item(from_py({"a": 2}), td)]
-        frame = frame_from_items(rows, map_frame_type(td))
+        frame = annotate_rows(iter([from_py({"a": 1}), from_py({"a": 2})]), from_py({"a": "int"}))
         assert frame.nrows == 2
         assert list(frame.columns[0].values) == [1, 2]
-
-    def test_empty(self):
-        schema = map_frame_type(parse_schema(from_py({"a": "int"})))
-        assert frame_from_items([], schema).nrows == 0
-
-    def test_mismatch_is_defensive_error(self):
-        schema = map_frame_type(parse_schema(from_py({"a": "int"})))
-        with pytest.raises(DynamicError) as err:
-            frame_from_items([from_py({"a": "x"})], schema)
-        assert err.value.code == "SCHEMA_MISMATCH"
 
     def test_row_objects_in_schema_order(self):
         frame = small_frame()
@@ -52,12 +32,12 @@ class TestFromToItems:
 
     def test_nested_record_round_trip(self):
         descriptor = from_py({"name": "string", "meta": {"x": "double", "y": ["int"]}})
-        td = parse_schema(descriptor)
+        record = parse_schema(descriptor)
         rows = [
-            validate_item(from_py({"name": "a", "meta": {"x": 1.5, "y": [1, 2]}}), td),
-            validate_item(from_py({"name": "b", "meta": {"x": 0.0, "y": []}}), td),
+            validate_item(from_py({"name": "a", "meta": {"x": 1.5, "y": [1, 2]}}), record),
+            validate_item(from_py({"name": "b", "meta": {"x": 0.0, "y": []}}), record),
         ]
-        frame = frame_from_items(rows, map_frame_type(td))
+        frame = annotate_rows(iter(rows), descriptor)
         back = list(frame_to_items(frame).iter_items())
         for a, b in zip(back, rows):
             assert deep_equal(a, b)
@@ -79,9 +59,9 @@ class TestRoundTripProperty:
     @given(_rows)
     def test_round_trip(self, rows_py):
         descriptor = from_py({"s": "string", "x": "double", "v": ["double"]})
-        td = parse_schema(descriptor)
-        rows = [validate_item(from_py(r), td) for r in rows_py]
-        frame = frame_from_items(rows, map_frame_type(td))
+        record = parse_schema(descriptor)
+        rows = [validate_item(from_py(r), record) for r in rows_py]
+        frame = annotate_rows(iter(rows), descriptor)
         back = list(frame_to_items(frame).iter_items())
         assert len(back) == len(rows)
         for a, b in zip(back, rows):
@@ -115,20 +95,6 @@ class TestFilter:
         for a, b in zip(via_frame, via_local):
             assert deep_equal(a, b)
 
-    def test_block_size_independence(self):
-        descriptor = from_py({"k": "int"})
-        rows = [from_py({"k": i}) for i in range(37)]
-        frame = annotate_rows(iter(rows), descriptor)
-        pred = lambda row: row.pairs["k"].value % 3 == 0
-        reference = frame_filter(frame, pred)
-        for block in (1, 2, 5, 16, 100):
-            chunked = frame_filter(frame, pred, block_size=block)
-            assert chunked.nrows == reference.nrows
-            for a, b in zip(
-                frame_to_items(chunked).iter_items(), frame_to_items(reference).iter_items()
-            ):
-                assert deep_equal(a, b)
-
     def test_error_carries_row_index(self):
         frame = small_frame()
 
@@ -140,63 +106,6 @@ class TestFilter:
         with pytest.raises(DynamicError) as err:
             frame_filter(frame, boom)
         assert "row 1" in err.value.message
-
-
-class TestAddProjectCount:
-    def test_add_constant_column(self):
-        descriptor = from_py({"k": "int"})
-        frame = annotate_rows((from_py({"k": i}) for i in range(3)), descriptor)
-        out = frame_add_column(
-            frame, "zero", FrameColumnType("Double"), lambda row: AtomicValue("double", 0.0)
-        )
-        assert out.column_names() == ["k", "zero"]
-        assert list(out.columns[1].values) == [0.0, 0.0, 0.0]
-
-    def test_add_tokens_column(self):
-        descriptor = from_py({"text": "string"})
-        frame = annotate_rows(
-            iter([from_py({"text": "a b"}), from_py({"text": "c"})]), descriptor
-        )
-        tokens_type = FrameColumnType("Array", member=FrameColumnType("String"))
-
-        def tokens(row):
-            return ArrayItem(
-                [AtomicValue("string", t) for t in row.pairs["text"].value.split(" ")]
-            )
-
-        out = frame_add_column(frame, "tokens", tokens_type, tokens)
-        assert deep_equal(out.row_item(0).pairs["tokens"], from_py(["a", "b"]))
-
-    def test_duplicate_column(self):
-        frame = small_frame()
-        with pytest.raises(DynamicError) as err:
-            frame_add_column(
-                frame, "label", FrameColumnType("Double"), lambda row: AtomicValue("double", 0.0)
-            )
-        assert err.value.code == "DUPLICATE_COLUMN"
-
-    def test_add_then_project_back(self):
-        frame = small_frame()
-        extended = frame_add_column(
-            frame, "extra", FrameColumnType("Double"), lambda row: AtomicValue("double", 1.0)
-        )
-        projected = frame_project(extended, frame.column_names())
-        assert projected.column_names() == frame.column_names()
-        for a, b in zip(
-            frame_to_items(projected).iter_items(), frame_to_items(frame).iter_items()
-        ):
-            assert deep_equal(a, b)
-
-    def test_project_subset_and_count(self):
-        frame = small_frame()
-        projected = frame_project(frame, ["label"])
-        assert projected.column_names() == ["label"]
-        assert frame_count(frame) == 2
-
-    def test_unknown_column(self):
-        with pytest.raises(DynamicError) as err:
-            frame_project(small_frame(), ["nope"])
-        assert err.value.code == "UNKNOWN_COLUMN"
 
 
 class TestSequenceEquivalence:

@@ -1,17 +1,13 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 import hypothesis.strategies as st
 
+from jsoniqml import run_query
 from jsoniqml.errors import DynamicError
 from jsoniqml.frame import annotate_rows, frame_to_items
-from jsoniqml.items import AtomicValue, deep_equal, from_py
-from jsoniqml.schema import (
-    FrameColumnType,
-    TypeDescriptor,
-    map_frame_type,
-    parse_schema,
-    validate_item,
-)
+from jsoniqml.items import AtomicValue, ObjectItem, deep_equal, from_py
+from jsoniqml.modes import POLICIES
+from jsoniqml.schema import FrameColumnType, parse_schema, validate_item
 
 # one parameter tuple per table row; date appears twice in the source table
 # and maps through the single Date rule both times
@@ -38,17 +34,17 @@ class TestParseSchema:
         descriptor = from_py(
             {"label": "string", "features": {str(i): "double" for i in range(1, 4097)}}
         )
-        td = parse_schema(descriptor)
-        assert td.kind == "record"
-        fields = dict(td.fields)
-        assert fields["label"] == TypeDescriptor.atomic("string")
+        record = parse_schema(descriptor)
+        assert record.kind == "Record"
+        fields = dict(record.fields)
+        assert fields["label"] == FrameColumnType("String")
         features = fields["features"]
-        assert features.kind == "record" and len(features.fields) == 4096
-        assert all(sub == TypeDescriptor.atomic("double") for _, sub in features.fields)
+        assert features.kind == "Record" and len(features.fields) == 4096
+        assert all(sub == FrameColumnType("Double") for _, sub in features.fields)
 
     def test_array_descriptor(self):
-        td = parse_schema(from_py(["double"]))
-        assert td == TypeDescriptor.array(TypeDescriptor.atomic("double"))
+        ctype = parse_schema(from_py(["double"]))
+        assert ctype == FrameColumnType("Array", member=FrameColumnType("Double"))
 
     def test_unknown_type_name(self):
         with pytest.raises(DynamicError) as err:
@@ -74,14 +70,14 @@ class TestParseSchema:
 class TestMapFrameType:
     @pytest.mark.parametrize("source,target", TYPE_TABLE_ROWS)
     def test_atomic_rows(self, source, target):
-        assert map_frame_type(TypeDescriptor.atomic(source)) == FrameColumnType(target)
+        assert parse_schema(from_py(source)) == FrameColumnType(target)
 
     def test_array_row(self):
-        out = map_frame_type(parse_schema(from_py(["double"])))
+        out = parse_schema(from_py(["double"]))
         assert out == FrameColumnType("Array", member=FrameColumnType("Double"))
 
     def test_object_row(self):
-        out = map_frame_type(parse_schema(from_py({"a": "int"})))
+        out = parse_schema(from_py({"a": "int"}))
         assert out.kind == "Record"
         assert out.fields == (("a", FrameColumnType("Integer")),)
 
@@ -95,40 +91,40 @@ class TestMapFrameType:
 
 class TestValidateItem:
     def test_label_cast_to_declared_string(self):
-        td = parse_schema(from_py({"label": "string", "features": {"1": "double"}}))
-        out = validate_item(from_py({"label": 1, "features": {"1": "-4.893"}}), td)
+        record = parse_schema(from_py({"label": "string", "features": {"1": "double"}}))
+        out = validate_item(from_py({"label": 1, "features": {"1": "-4.893"}}), record)
         assert out.pairs["label"] == AtomicValue("string", "1")
         assert out.pairs["features"].pairs["1"] == AtomicValue("double", -4.893)
 
     def test_missing_field_path(self):
-        td = parse_schema(from_py({"a": "string", "b": "double"}))
+        record = parse_schema(from_py({"a": "string", "b": "double"}))
         with pytest.raises(DynamicError) as err:
-            validate_item(from_py({"a": "x"}), td)
+            validate_item(from_py({"a": "x"}), record)
         assert err.value.code == "VALIDATION_ERROR"
         assert "$.b" in err.value.message and "missing" in err.value.message
 
     def test_extra_field_rejected(self):
-        td = parse_schema(from_py({"a": "string"}))
+        record = parse_schema(from_py({"a": "string"}))
         with pytest.raises(DynamicError) as err:
-            validate_item(from_py({"a": "x", "z": 1}), td)
+            validate_item(from_py({"a": "x", "z": 1}), record)
         assert "$.z" in err.value.message
 
     def test_string_to_double(self):
-        td = parse_schema(from_py("double"))
-        assert validate_item(from_py("3.5"), td) == AtomicValue("double", 3.5)
+        ctype = parse_schema(from_py("double"))
+        assert validate_item(from_py("3.5"), ctype) == AtomicValue("double", 3.5)
 
     def test_null_only_for_null_kind(self):
-        td = parse_schema(from_py({"a": "double"}))
+        record = parse_schema(from_py({"a": "double"}))
         with pytest.raises(DynamicError):
-            validate_item(from_py({"a": None}), td)
-        td_null = parse_schema(from_py({"a": "null"}))
-        out = validate_item(from_py({"a": None}), td_null)
+            validate_item(from_py({"a": None}), record)
+        record_null = parse_schema(from_py({"a": "null"}))
+        out = validate_item(from_py({"a": None}), record_null)
         assert out.pairs["a"].kind == "null"
 
     def test_idempotent(self):
-        td = parse_schema(from_py({"a": "double", "b": ["int"]}))
-        once = validate_item(from_py({"a": "1.5", "b": [1, 2]}), td)
-        twice = validate_item(once, td)
+        record = parse_schema(from_py({"a": "double", "b": ["int"]}))
+        once = validate_item(from_py({"a": "1.5", "b": [1, 2]}), record)
+        twice = validate_item(once, record)
         assert deep_equal(once, twice)
 
 
@@ -152,8 +148,8 @@ class TestAnnotate:
         ]
         descriptor = from_py({"label": "string", "features": {"1": "double", "2": "double"}})
         frame = annotate_rows(iter(rows), descriptor)
-        td = parse_schema(descriptor)
-        direct = [validate_item(row, td) for row in rows]
+        record = parse_schema(descriptor)
+        direct = [validate_item(row, record) for row in rows]
         via_frame = list(frame_to_items(frame).iter_items())
         assert len(via_frame) == len(direct)
         for a, b in zip(via_frame, direct):
@@ -164,8 +160,8 @@ class TestAnnotate:
         rows = [from_py(r) for r in rows_py]
         descriptor = from_py(_SCHEMA_PY)
         frame = annotate_rows(iter(rows), descriptor)
-        td = parse_schema(descriptor)
-        direct = [validate_item(r, td) for r in rows]
+        record = parse_schema(descriptor)
+        direct = [validate_item(r, record) for r in rows]
         via_frame = list(frame_to_items(frame).iter_items())
         assert len(via_frame) == len(direct)
         for a, b in zip(via_frame, direct):
@@ -186,3 +182,68 @@ class TestAnnotate:
         with pytest.raises(DynamicError) as err:
             annotate_rows(iter(rows), from_py({"a": "double"}))
         assert "row 1" in err.value.message
+
+
+# one fault per row, applied to a row drawn from `_row_strategy`
+_FAULTS = {
+    "missing field": lambda r: {k: v for k, v in r.items() if k != "score"},
+    "missing nested field": lambda r: {**r, "meta": {}},
+    "undeclared field": lambda r: {**r, "extra": 1},
+    "undeclared nested field": lambda r: {**r, "meta": {**r["meta"], "z": True}},
+    "uncastable value": lambda r: {**r, "score": "oops"},
+    "uncastable nested value": lambda r: {**r, "meta": {"n": "1.5x"}},
+    "null into string": lambda r: {**r, "name": None},
+    "null into array member": lambda r: {**r, "tags": r["tags"] + [None]},
+    "array for record": lambda r: {**r, "meta": [r["meta"]["n"]]},
+    "atomic row": lambda r: r["score"],
+    "array row": lambda r: r["tags"],
+}
+
+_faulty_rows = st.lists(
+    st.tuples(_row_strategy, st.sampled_from([None, *_FAULTS])), min_size=1, max_size=5
+)
+
+
+def _raised(thunk) -> DynamicError:
+    with pytest.raises(DynamicError) as err:
+        thunk()
+    return err.value
+
+
+class TestBadRows:
+    @given(_faulty_rows)
+    def test_validator_frame_and_queries_agree(self, drawn):
+        assume(any(fault is not None for _, fault in drawn))
+        rows = [from_py(r if fault is None else _FAULTS[fault](r)) for r, fault in drawn]
+        descriptor = from_py(_SCHEMA_PY)
+
+        # the first bad row decides, as validate_item reports it
+        record = parse_schema(descriptor)
+        for i, row in enumerate(rows):
+            if not isinstance(row, ObjectItem):
+                expected = ("NON_OBJECT_ROW", f"row {i} is not an object ({type(row).__name__})")
+                break
+            try:
+                validate_item(row, record)
+            except DynamicError as err:
+                expected = (err.code, f"row {i}: {err.message}")
+                break
+
+        err = _raised(lambda: annotate_rows(iter(rows), descriptor))
+        assert (err.code, err.message) == expected
+
+        # the grammar has no sequence constructor, so a FLWOR picks row $ri
+        # for each i
+        pick = f"$r{len(rows) - 1}"
+        for i in reversed(range(len(rows) - 1)):
+            pick = f"if ($i eq {i}) then $r{i} else ({pick})"
+        query = f"annotate(for $i in 0 to {len(rows) - 1} return {pick}, $schema)"
+        variables = {f"r{i}": row for i, row in enumerate(rows)}
+        variables["schema"] = descriptor
+        positions = set()
+        for policy in POLICIES:
+            err = _raised(lambda: run_query(query, variables, policy=policy))
+            assert (err.code, err.message) == expected, policy
+            positions.add(err.position)
+        # every policy reports the error at the annotate call, local mode too
+        assert positions == {(1, 1)}
