@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .builtins import CATALOG
+from .errors import DynamicError
 from .items import (
     ArrayItem,
     AtomicValue,
@@ -42,6 +43,12 @@ def compile_query(text: str, policy: str = POLICY_AUTO) -> CompiledQuery:
     return CompiledQuery(resolved, tree, policy)
 
 
+def _recursion_limit() -> DynamicError:
+    """Runaway recursion in a query (a user function that never reaches its
+    base case) exhausts the Python stack; it surfaces as an engine error."""
+    return DynamicError("RECURSION_LIMIT", "query nesting or recursion too deep")
+
+
 def _to_item(value: Any) -> Item:
     if isinstance(value, (AtomicValue, ObjectItem, ArrayItem, FunctionItem)):
         return value
@@ -57,7 +64,10 @@ def evaluate_query(
     for name, value in (variables or {}).items():
         external[name] = _to_item(value)
     evaluator = Evaluator(compiled.tree, CATALOG, external, cap=cap)
-    return evaluator.run()
+    try:
+        return evaluator.run()
+    except RecursionError:
+        raise _recursion_limit() from None
 
 
 def run_query(
@@ -69,7 +79,10 @@ def run_query(
     """Parse, compile, and evaluate; returns the materialized result items."""
     compiled = compile_query(text, policy)
     result = evaluate_query(compiled, variables, cap)
-    return result.materialize(cap)
+    try:
+        return result.materialize(cap)
+    except RecursionError:
+        raise _recursion_limit() from None
 
 
 def run_query_lines(

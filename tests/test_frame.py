@@ -3,9 +3,9 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from jsoniqml.errors import DynamicError
-from jsoniqml.frame import annotate_rows, frame_filter, frame_to_items
-from jsoniqml.items import deep_equal, from_py
-from jsoniqml.schema import parse_schema, validate_item
+from jsoniqml.frame import annotate_rows, frame_filter, frame_to_items, make_builder
+from jsoniqml.items import AtomicValue, ArrayItem, deep_equal, from_py
+from jsoniqml.schema import FrameColumnType, parse_schema, validate_item
 
 
 def small_frame():
@@ -23,6 +23,16 @@ class TestFromToItems:
         frame = annotate_rows(iter([from_py({"a": 1}), from_py({"a": 2})]), from_py({"a": "int"}))
         assert frame.nrows == 2
         assert list(frame.columns[0].values) == [1, 2]
+
+    def test_empty(self):
+        assert annotate_rows(iter([]), from_py({"a": "int"})).nrows == 0
+
+    def test_mismatch_is_defensive_error(self):
+        with pytest.raises(DynamicError) as err:
+            annotate_rows(iter([from_py({"a": 1}), from_py({"a": "x"})]), from_py({"a": "int"}))
+        # rows are validated before they reach a column builder
+        assert err.value.code == "VALIDATION_ERROR"
+        assert "row 1" in err.value.message
 
     def test_row_objects_in_schema_order(self):
         frame = small_frame()
@@ -106,6 +116,54 @@ class TestFilter:
         with pytest.raises(DynamicError) as err:
             frame_filter(frame, boom)
         assert "row 1" in err.value.message
+
+
+def built_column(ctype, frame, fn):
+    builder = make_builder(ctype)
+    for row in frame.iter_items():
+        builder.append(fn(row))
+    return builder.finish()
+
+
+class TestAddProjectCount:
+    def test_add_constant_column(self):
+        descriptor = from_py({"k": "int"})
+        frame = annotate_rows((from_py({"k": i}) for i in range(3)), descriptor)
+        ctype = FrameColumnType("Double")
+        out = frame.with_column(
+            "zero", ctype, built_column(ctype, frame, lambda row: AtomicValue("double", 0.0))
+        )
+        assert out.column_names() == ["k", "zero"]
+        assert list(out.columns[1].values) == [0.0, 0.0, 0.0]
+
+    def test_add_tokens_column(self):
+        descriptor = from_py({"text": "string"})
+        frame = annotate_rows(
+            iter([from_py({"text": "a b"}), from_py({"text": "c"})]), descriptor
+        )
+        tokens_type = FrameColumnType("Array", member=FrameColumnType("String"))
+
+        def tokens(row):
+            return ArrayItem(
+                [AtomicValue("string", t) for t in row.pairs["text"].value.split(" ")]
+            )
+
+        out = frame.with_column("tokens", tokens_type, built_column(tokens_type, frame, tokens))
+        assert deep_equal(out.row_item(0).pairs["tokens"], from_py(["a", "b"]))
+        assert deep_equal(out.row_item(1).pairs["tokens"], from_py(["c"]))
+
+    def test_duplicate_column(self):
+        frame = small_frame()
+        ctype = FrameColumnType("Double")
+        column = built_column(ctype, frame, lambda row: AtomicValue("double", 0.0))
+        with pytest.raises(DynamicError) as err:
+            frame.with_column("label", ctype, column)
+        assert err.value.code == "DUPLICATE_COLUMN"
+
+    def test_unknown_column(self):
+        with pytest.raises(DynamicError) as err:
+            small_frame().column("nope")
+        assert err.value.code == "UNKNOWN_COLUMN"
 
 
 class TestSequenceEquivalence:

@@ -260,3 +260,14 @@ class TestRecursionDepth:
         )
         for policy in ("auto", "force-local", "frame"):
             assert run_query_lines(query, policy=policy) == ["120"]
+
+    def test_unbounded_recursion_is_an_engine_error(self):
+        query = (
+            "declare function local:even($n) { if (0) then true else local:odd($n - 1) };"
+            "declare function local:odd($n) { if ($n eq 0) then false else local:even($n - 1) };"
+            "[local:even(10), local:odd(7)]"
+        )
+        for policy in ("auto", "force-local", "frame"):
+            with pytest.raises(DynamicError) as info:
+                run_query_lines(query, policy=policy)
+            assert info.value.code == "RECURSION_LIMIT"
