@@ -1,9 +1,14 @@
-"""Typed AST for the query subset. Every node carries a source position."""
+"""Typed AST for the query subset. Every node carries a source position.
+
+Each expression class names the runtime-iterator kind it compiles to and
+lists its sub-expressions in `children()`, the one definition of the tree's
+shape that every pass walks.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, ClassVar, Optional, Sequence
 
 from .items import AtomicValue
 
@@ -12,16 +17,27 @@ Pos = tuple  # (line, col)
 
 @dataclass
 class Expr:
+    kind: ClassVar[str]
     pos: Pos = field(default=(0, 0), kw_only=True)
+
+    def children(self) -> "Sequence[Expr]":
+        """Sub-expressions in evaluation order (the runtime iterator's children).
+
+        Lists, not tuples: each compile pass builds these and drops them, and
+        dropped small tuples stay on the interpreter's free lists, which the
+        benchmark's traced peak memory counts."""
+        return ()
 
 
 @dataclass
 class Literal(Expr):
+    kind = "literal"
     value: AtomicValue
 
 
 @dataclass
 class VarRef(Expr):
+    kind = "var"
     name: str
     # set by the resolver: "local" | "external"
     binding: Optional[str] = None
@@ -29,98 +45,155 @@ class VarRef(Expr):
 
 @dataclass
 class ContextItemRef(Expr):
-    pass
+    kind = "context"
 
 
 @dataclass
 class Comparison(Expr):
+    kind = "comparison"
     op: str  # eq ne lt le gt ge
     left: Expr
     right: Expr
 
+    def children(self):
+        return [self.left, self.right]
+
 
 @dataclass
 class Arithmetic(Expr):
+    kind = "arithmetic"
     op: str  # + - * div idiv mod
     left: Expr
     right: Expr
 
+    def children(self):
+        return [self.left, self.right]
+
 
 @dataclass
 class BoolOp(Expr):
+    kind = "boolop"
     op: str  # and | or
     left: Expr
     right: Expr
 
+    def children(self):
+        return [self.left, self.right]
+
 
 @dataclass
 class NotExpr(Expr):
+    kind = "not"
     operand: Expr
+
+    def children(self):
+        return [self.operand]
 
 
 @dataclass
 class RangeTo(Expr):
+    kind = "range"
     lo: Expr
     hi: Expr
+
+    def children(self):
+        return [self.lo, self.hi]
 
 
 @dataclass
 class IfThenElse(Expr):
+    kind = "if"
     cond: Expr
     then: Expr
     orelse: Expr
 
+    def children(self):
+        return [self.cond, self.then, self.orelse]
+
 
 @dataclass
 class ObjectConstructor(Expr):
+    kind = "object"
     pairs: "list[tuple[Expr, Expr]]"
+
+    def children(self):
+        return [e for pair in self.pairs for e in pair]
 
 
 @dataclass
 class MergedObjectConstructor(Expr):
+    kind = "merged"
     source: Expr
+
+    def children(self):
+        return [self.source]
 
 
 @dataclass
 class ArrayConstructor(Expr):
+    kind = "array"
     members: "list[Expr]"
+
+    def children(self):
+        return self.members
 
 
 @dataclass
 class SequenceExpr(Expr):
     """Parenthesized unit: `()` is the empty sequence, `(e)` is `e`."""
 
+    kind = "seq"
     inner: Optional[Expr]
+
+    def children(self):
+        return () if self.inner is None else [self.inner]
 
 
 @dataclass
 class Predicate(Expr):
+    kind = "predicate"
     base: Expr
     condition: Expr
+
+    def children(self):
+        return [self.base, self.condition]
 
 
 @dataclass
 class ObjectLookup(Expr):
+    kind = "lookup"
     base: Expr
     key: str
+
+    def children(self):
+        return [self.base]
 
 
 @dataclass
 class StaticFunctionCall(Expr):
+    kind = "static-call"
     name: str
     args: "list[Expr]"
     # set by the resolver: ("user", FunctionDecl) | ("builtin", key)
     target: Any = None
 
+    def children(self):
+        return self.args
+
 
 @dataclass
 class DynamicFunctionCall(Expr):
+    kind = "dynamic-call"
     callee: Expr
     args: "list[Expr]"
+
+    def children(self):
+        return [self.callee, *self.args]
 
 
 @dataclass
 class NamedFunctionRef(Expr):
+    kind = "fnref"
     name: str
     arity: int
     target: Any = None
@@ -133,6 +206,10 @@ class ForClause:
     source: Expr
     pos: Pos = (0, 0)
 
+    @property
+    def expr(self) -> Expr:
+        return self.source
+
 
 @dataclass
 class LetClause:
@@ -140,11 +217,19 @@ class LetClause:
     value: Expr
     pos: Pos = (0, 0)
 
+    @property
+    def expr(self) -> Expr:
+        return self.value
+
 
 @dataclass
 class WhereClause:
     condition: Expr
     pos: Pos = (0, 0)
+
+    @property
+    def expr(self) -> Expr:
+        return self.condition
 
 
 @dataclass
@@ -153,14 +238,22 @@ class OrderByClause:
     descending: bool = False
     pos: Pos = (0, 0)
 
+    @property
+    def expr(self) -> Expr:
+        return self.key
+
 
 Clause = Any  # ForClause | LetClause | WhereClause | OrderByClause
 
 
 @dataclass
 class FLWOR(Expr):
+    kind = "flwor"
     clauses: "list[Clause]"
     return_expr: Expr
+
+    def children(self):
+        return [*(clause.expr for clause in self.clauses), self.return_expr]
 
 
 @dataclass
@@ -185,59 +278,11 @@ class SourceModule:
 
 def walk(node):
     """Yield every Expr node of a subtree, including clause expressions."""
-    if node is None:
-        return
     if isinstance(node, SourceModule):
         for decl in node.prolog:
             yield from walk(decl.body)
         yield from walk(node.body)
         return
-    if not isinstance(node, Expr):
-        return
     yield node
-    if isinstance(node, (Comparison, Arithmetic, BoolOp)):
-        yield from walk(node.left)
-        yield from walk(node.right)
-    elif isinstance(node, NotExpr):
-        yield from walk(node.operand)
-    elif isinstance(node, RangeTo):
-        yield from walk(node.lo)
-        yield from walk(node.hi)
-    elif isinstance(node, IfThenElse):
-        yield from walk(node.cond)
-        yield from walk(node.then)
-        yield from walk(node.orelse)
-    elif isinstance(node, ObjectConstructor):
-        for k, v in node.pairs:
-            yield from walk(k)
-            yield from walk(v)
-    elif isinstance(node, MergedObjectConstructor):
-        yield from walk(node.source)
-    elif isinstance(node, ArrayConstructor):
-        for m in node.members:
-            yield from walk(m)
-    elif isinstance(node, SequenceExpr):
-        yield from walk(node.inner)
-    elif isinstance(node, Predicate):
-        yield from walk(node.base)
-        yield from walk(node.condition)
-    elif isinstance(node, ObjectLookup):
-        yield from walk(node.base)
-    elif isinstance(node, StaticFunctionCall):
-        for a in node.args:
-            yield from walk(a)
-    elif isinstance(node, DynamicFunctionCall):
-        yield from walk(node.callee)
-        for a in node.args:
-            yield from walk(a)
-    elif isinstance(node, FLWOR):
-        for cl in node.clauses:
-            if isinstance(cl, ForClause):
-                yield from walk(cl.source)
-            elif isinstance(cl, LetClause):
-                yield from walk(cl.value)
-            elif isinstance(cl, WhereClause):
-                yield from walk(cl.condition)
-            elif isinstance(cl, OrderByClause):
-                yield from walk(cl.key)
-        yield from walk(node.return_expr)
+    for child in node.children():
+        yield from walk(child)

@@ -35,18 +35,22 @@ class CompiledQuery:
     policy: str
 
 
-def compile_query(text: str, policy: str = POLICY_AUTO) -> CompiledQuery:
-    module = parse(text)
-    resolved = resolve(module, set(CATALOG.keys()))
-    tree = build_tree(resolved)
-    infer_execution_modes(tree, CATALOG, policy)
-    return CompiledQuery(resolved, tree, policy)
-
-
 def _recursion_limit() -> DynamicError:
     """Runaway recursion in a query (a user function that never reaches its
-    base case) exhausts the Python stack; it surfaces as an engine error."""
+    base case, or nesting too deep to parse) exhausts the Python stack; it
+    surfaces as an engine error."""
     return DynamicError("RECURSION_LIMIT", "query nesting or recursion too deep")
+
+
+def compile_query(text: str, policy: str = POLICY_AUTO) -> CompiledQuery:
+    try:
+        module = parse(text)
+        resolved = resolve(module, set(CATALOG.keys()))
+        tree = build_tree(resolved)
+        infer_execution_modes(tree, CATALOG, policy)
+    except RecursionError:
+        raise _recursion_limit() from None
+    return CompiledQuery(resolved, tree, policy)
 
 
 def _to_item(value: Any) -> Item:

@@ -34,8 +34,6 @@ _NUMPY_SCALAR = {
     "Boolean": np.bool_,
 }
 
-_LIST_SCALAR = {"String", "Decimal", "Date", "Timestamp", "Binary"}
-
 # builders collect these kinds unboxed, eight bytes a value
 _ARRAY_TYPECODE = {
     "Byte": "q",

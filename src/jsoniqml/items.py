@@ -141,14 +141,13 @@ class FunctionItem:
     """First-class callable: a user closure or a native (registry) handle.
 
     Natives carry a registry tag naming the builtin they wrap; closures carry
-    the declaration and the environment captured at creation.
+    the compiled function they call.
     """
 
     name: Optional[str]
     param_names: tuple
     signature: tuple  # (param type strings or None ..., return type or None)
-    body: Any = None  # resolved declaration for closures
-    captured_env: Any = None
+    body: Any = None  # the FunctionInfo a user closure calls
     native: Any = None  # NativeHandle for builtins / transformers / models
 
     @property
@@ -202,19 +201,18 @@ class SequenceValue:
     STREAM = "stream"
     FRAME = "frame"
 
-    __slots__ = ("representation", "_payload", "_spent", "static_type")
+    __slots__ = ("representation", "_payload", "_spent")
 
-    def __init__(self, representation: str, payload: Any, static_type=None):
+    def __init__(self, representation: str, payload: Any):
         self.representation = representation
         self._payload = payload
         self._spent = False
-        self.static_type = static_type
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def single(cls, item: Item, static_type=None) -> "SequenceValue":
-        return cls(cls.SINGLE, item, static_type)
+    def single(cls, item: Item) -> "SequenceValue":
+        return cls(cls.SINGLE, item)
 
     @classmethod
     def from_list(cls, items: "list[Item]") -> "SequenceValue":
@@ -502,10 +500,6 @@ def parse_canonical(text: str) -> Item:
 # ---------------------------------------------------------------------------
 # Equality, effective boolean value
 # ---------------------------------------------------------------------------
-
-
-def _numeric_value(av: AtomicValue):
-    return av.value
 
 
 def deep_equal(a: Item, b: Item) -> bool:

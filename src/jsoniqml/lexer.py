@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import QueryParseError
@@ -43,6 +44,8 @@ class Token:
 
 
 _ASCII_DIGITS = "0123456789"
+# a fraction or an exponent counts only with a digit after it: `1.` is `1` `.`
+_NUMBER = re.compile(r"[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 
 
 def _is_digit(ch: str) -> bool:
@@ -64,142 +67,128 @@ def lex(text: str) -> "list[Token]":
     Comments `(: ... :)` nest and are discarded. A name may contain hyphens
     when the hyphen is followed by a letter (so `get-transformer` is one
     token but `$a - 1` is three) and one `prefix:local` colon.
+
+    The offset `i` is the only cursor; `line` and `line_start` (the offset
+    of the current line's first character) move only where a newline can
+    be consumed, in whitespace and comments, and a column is derived as
+    `i - line_start + 1`.
     """
     tokens: list[Token] = []
     i = 0
     line = 1
-    col = 1
+    line_start = 0
     n = len(text)
-
-    def advance(count: int):
-        nonlocal i, line, col
-        for _ in range(count):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
 
     while i < n:
         ch = text[i]
         if ch in " \t\r\n":
-            advance(1)
+            if ch == "\n":
+                line += 1
+                line_start = i + 1
+            i += 1
             continue
+        col = i - line_start + 1
         if text.startswith("(:", i):
-            start_line, start_col = line, col
             depth = 0
-            while i < n:
-                if text.startswith("(:", i):
+            j = i
+            while j < n:
+                if text.startswith("(:", j):
                     depth += 1
-                    advance(2)
-                elif text.startswith(":)", i):
+                    j += 2
+                elif text.startswith(":)", j):
                     depth -= 1
-                    advance(2)
+                    j += 2
                     if depth == 0:
                         break
                 else:
-                    advance(1)
+                    j += 1
             if depth != 0:
-                raise QueryParseError("LEX_ERROR", "unterminated comment", (start_line, start_col))
+                raise QueryParseError("LEX_ERROR", "unterminated comment", (line, col))
+            newlines = text.count("\n", i, j)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", i, j) + 1
+            i = j
             continue
         if ch == '"':
-            start_line, start_col = line, col
-            advance(1)
+            i += 1
             out = []
             while True:
                 if i >= n or text[i] == "\n":
                     raise QueryParseError(
-                        "LEX_ERROR", "unterminated string literal", (start_line, start_col)
+                        "LEX_ERROR", "unterminated string literal", (line, col)
                     )
                 c = text[i]
                 if c == '"':
-                    advance(1)
+                    i += 1
                     break
                 if c == "\\":
-                    advance(1)
+                    i += 1
                     if i >= n:
                         raise QueryParseError(
-                            "LEX_ERROR", "unterminated string literal", (start_line, start_col)
+                            "LEX_ERROR", "unterminated string literal", (line, col)
                         )
                     esc = text[i]
                     if esc in _ESCAPE_MAP:
                         out.append(_ESCAPE_MAP[esc])
-                        advance(1)
+                        i += 1
                     elif esc == "u":
                         hexpart = text[i + 1 : i + 5]
                         if len(hexpart) < 4 or any(h not in "0123456789abcdefABCDEF" for h in hexpart):
-                            raise QueryParseError("LEX_ERROR", "bad \\u escape", (line, col))
+                            raise QueryParseError(
+                                "LEX_ERROR", "bad \\u escape", (line, i - line_start + 1)
+                            )
                         out.append(chr(int(hexpart, 16)))
-                        advance(5)
+                        i += 5
                     else:
-                        raise QueryParseError("LEX_ERROR", f"bad escape \\{esc}", (line, col))
+                        raise QueryParseError(
+                            "LEX_ERROR", f"bad escape \\{esc}", (line, i - line_start + 1)
+                        )
                 else:
                     out.append(c)
-                    advance(1)
-            tokens.append(Token(STRING, "".join(out), start_line, start_col))
+                    i += 1
+            tokens.append(Token(STRING, "".join(out), line, col))
             continue
         if ch == "$":
-            start_line, start_col = line, col
             if text.startswith("$$", i):
-                advance(2)
-                tokens.append(Token(CONTEXT, "$$", start_line, start_col))
+                i += 2
+                tokens.append(Token(CONTEXT, "$$", line, col))
                 continue
-            advance(1)
+            i += 1
             if i >= n or not _is_name_start(text[i]):
-                raise QueryParseError("LEX_ERROR", "expected variable name after '$'", (start_line, start_col))
+                raise QueryParseError("LEX_ERROR", "expected variable name after '$'", (line, col))
             name = _lex_name(text, i)
-            advance(len(name))
-            tokens.append(Token(VAR, name, start_line, start_col))
+            i += len(name)
+            tokens.append(Token(VAR, name, line, col))
             continue
         if _is_digit(ch):
-            start_line, start_col = line, col
-            j = i
-            while j < n and _is_digit(text[j]):
-                j += 1
-            kind = INTEGER
-            if j < n and text[j] == "." and j + 1 < n and _is_digit(text[j + 1]):
-                kind = DECIMAL
-                j += 1
-                while j < n and _is_digit(text[j]):
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and _is_digit(text[k]):
-                    kind = DOUBLE
-                    j = k
-                    while j < n and _is_digit(text[j]):
-                        j += 1
-            value = text[i:j]
-            advance(j - i)
-            tokens.append(Token(kind, value, start_line, start_col))
+            m = _NUMBER.match(text, i)
+            kind = DOUBLE if m.group(2) else DECIMAL if m.group(1) else INTEGER
+            tokens.append(Token(kind, m.group(), line, col))
+            i = m.end()
             continue
         if _is_name_start(ch):
-            start_line, start_col = line, col
             name = _lex_name(text, i)
-            advance(len(name))
+            i += len(name)
             # one prefix:local colon, glued tight on both sides
             if i < n and text[i] == ":" and i + 1 < n and _is_name_start(text[i + 1]) and ":" not in name:
-                advance(1)
-                local = _lex_name(text, i)
-                advance(len(local))
+                local = _lex_name(text, i + 1)
+                i += 1 + len(local)
                 name = f"{name}:{local}"
-            tokens.append(Token(NAME, name, start_line, start_col))
+            tokens.append(Token(NAME, name, line, col))
             continue
         two = text[i : i + 2]
         if two in _PUNCT_2:
             tokens.append(Token(two, two, line, col))
-            advance(2)
+            i += 2
             continue
         if ch in _PUNCT_1:
             tokens.append(Token(ch, ch, line, col))
-            advance(1)
+            i += 1
             continue
         raise QueryParseError("LEX_ERROR", f"illegal character {ch!r}", (line, col))
 
-    tokens.append(Token(EOF, "", line, col))
+    tokens.append(Token(EOF, "", line, i - line_start + 1))
     return tokens
 
 

@@ -41,8 +41,6 @@ STAGES = ("array", STAGE_FN)
 class ParamEntry:
     type: Any
     default: Any = None
-    required: bool = False  # must be present by apply/fit time
-    fit_time_only: bool = False
 
 
 def type_name(ptype) -> str:
@@ -123,44 +121,44 @@ def _describe(item: Item) -> str:
 
 PARAM_SPECS: "dict[str, dict[str, ParamEntry]]" = {
     "Tokenizer": {
-        "inputCol": ParamEntry(STRING, required=True),
-        "outputCol": ParamEntry(STRING, required=True),
+        "inputCol": ParamEntry(STRING),
+        "outputCol": ParamEntry(STRING),
     },
     "VectorAssembler": {
-        "inputCols": ParamEntry(STRING_ARRAY, required=True),
-        "outputCol": ParamEntry(STRING, required=True),
+        "inputCols": ParamEntry(STRING_ARRAY),
+        "outputCol": ParamEntry(STRING),
     },
     "VectorSlicer": {
-        "inputCol": ParamEntry(STRING, required=True),
-        "outputCol": ParamEntry(STRING, required=True),
-        "indices": ParamEntry(INT_ARRAY, required=True),
+        "inputCol": ParamEntry(STRING),
+        "outputCol": ParamEntry(STRING),
+        "indices": ParamEntry(INT_ARRAY),
     },
     "LogisticRegression": {
         "featuresCol": ParamEntry(STRING, default="features"),
         "labelCol": ParamEntry(STRING, default="label"),
         "predictionCol": ParamEntry(STRING, default="prediction"),
-        "maxIter": ParamEntry(INTEGER, default=10, fit_time_only=True),
-        "stepSize": ParamEntry(DOUBLE, default=0.1, fit_time_only=True),
-        "regParam": ParamEntry(DOUBLE, default=0.0, fit_time_only=True),
-        "fitIntercept": ParamEntry(BOOLEAN, default=True, fit_time_only=True),
+        "maxIter": ParamEntry(INTEGER, default=10),
+        "stepSize": ParamEntry(DOUBLE, default=0.1),
+        "regParam": ParamEntry(DOUBLE, default=0.0),
+        "fitIntercept": ParamEntry(BOOLEAN, default=True),
         "thresholds": ParamEntry(VECTOR),
-        "lowerBoundsOnCoefficients": ParamEntry(MATRIX, fit_time_only=True),
-        "upperBoundsOnCoefficients": ParamEntry(MATRIX, fit_time_only=True),
+        "lowerBoundsOnCoefficients": ParamEntry(MATRIX),
+        "upperBoundsOnCoefficients": ParamEntry(MATRIX),
     },
     "LinearSVC": {
         "featuresCol": ParamEntry(STRING, default="features"),
         "labelCol": ParamEntry(STRING, default="label"),
         "predictionCol": ParamEntry(STRING, default="prediction"),
-        "maxIter": ParamEntry(INTEGER, default=10, fit_time_only=True),
-        "stepSize": ParamEntry(DOUBLE, default=0.1, fit_time_only=True),
-        "regParam": ParamEntry(DOUBLE, default=0.0, fit_time_only=True),
-        "fitIntercept": ParamEntry(BOOLEAN, default=True, fit_time_only=True),
+        "maxIter": ParamEntry(INTEGER, default=10),
+        "stepSize": ParamEntry(DOUBLE, default=0.1),
+        "regParam": ParamEntry(DOUBLE, default=0.0),
+        "fitIntercept": ParamEntry(BOOLEAN, default=True),
     },
     "NaiveBayes": {
         "featuresCol": ParamEntry(STRING, default="features"),
         "labelCol": ParamEntry(STRING, default="label"),
         "predictionCol": ParamEntry(STRING, default="prediction"),
-        "smoothing": ParamEntry(DOUBLE, default=1.0, fit_time_only=True),
+        "smoothing": ParamEntry(DOUBLE, default=1.0),
         "thresholds": ParamEntry(VECTOR),
     },
     "MaxAbsScaler": {
@@ -168,7 +166,7 @@ PARAM_SPECS: "dict[str, dict[str, ParamEntry]]" = {
         "outputCol": ParamEntry(STRING, default="scaledFeatures"),
     },
     "Pipeline": {
-        "stages": ParamEntry(STAGES, required=True, fit_time_only=True),
+        "stages": ParamEntry(STAGES),
     },
 }
 

@@ -16,6 +16,7 @@ from ..items import FunctionItem
 from .params import TRANSFORMER_NAMES
 from .registry import (
     ModelArtifact,
+    artifact_to_dict,
     make_model_item,
     make_pipeline_model_item,
     make_transformer_item,
@@ -23,16 +24,6 @@ from .registry import (
 
 _MODEL_KINDS = ("LogisticRegression", "LinearSVC", "NaiveBayes", "MaxAbsScaler")
 _FROZEN_KEYS = ("kind", "params", "weights", "intercept")
-
-
-def artifact_to_dict(artifact: ModelArtifact) -> dict:
-    return {
-        "kind": artifact.kind,
-        "params": artifact.params,
-        "weights": artifact.weights,
-        "intercept": artifact.intercept,
-        **artifact.extra,
-    }
 
 
 def save_model(model: FunctionItem, path) -> None:

@@ -51,6 +51,17 @@ class ModelArtifact:
     extra: dict = field(default_factory=dict)
 
 
+def artifact_to_dict(artifact: ModelArtifact) -> dict:
+    """The saved model document: the frozen keys, then kind-specific ones."""
+    return {
+        "kind": artifact.kind,
+        "params": artifact.params,
+        "weights": artifact.weights,
+        "intercept": artifact.intercept,
+        **artifact.extra,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Frame access helpers
 # ---------------------------------------------------------------------------
@@ -388,27 +399,12 @@ def _pipeline_artifact(stages) -> "ModelArtifact | None":
         if handle is None:
             return None  # user-defined stage: not persistable
         if handle.tag.startswith("model:") and handle.artifact is not None:
-            inner = handle.artifact
-            stage_dicts.append(
-                {
-                    "kind": inner.kind,
-                    "params": inner.params,
-                    "weights": inner.weights,
-                    "intercept": inner.intercept,
-                    **inner.extra,
-                }
-            )
+            artifact = handle.artifact
         elif handle.tag.startswith("transformer:"):
-            stage_dicts.append(
-                {
-                    "kind": handle.tag.split(":", 1)[1],
-                    "params": handle.params,
-                    "weights": [],
-                    "intercept": 0.0,
-                }
-            )
+            artifact = ModelArtifact(kind=handle.tag.split(":", 1)[1], params=handle.params)
         else:
             return None
+        stage_dicts.append(artifact_to_dict(artifact))
     return ModelArtifact(kind="Pipeline", params={}, extra={"stages": stage_dicts})
 
 

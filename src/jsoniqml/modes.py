@@ -19,26 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ast_nodes import (
-    ArrayConstructor,
     Arithmetic,
     BoolOp,
     Comparison,
     ContextItemRef,
-    DynamicFunctionCall,
-    FLWOR,
     ForClause,
     FunctionDecl,
     IfThenElse,
     LetClause,
     Literal,
-    MergedObjectConstructor,
-    NamedFunctionRef,
     NotExpr,
-    ObjectConstructor,
     ObjectLookup,
     OrderByClause,
-    Predicate,
-    RangeTo,
     SequenceExpr,
     StaticFunctionCall,
     VarRef,
@@ -95,8 +87,6 @@ class RuntimeIterator:
         "static_type",
         "call_assumption",
         "frame_lowered",
-        "clause_iters",
-        "return_iter",
     )
 
     def __init__(self, kind: str, node, children: "list[RuntimeIterator]"):
@@ -108,6 +98,15 @@ class RuntimeIterator:
         # kind-specific plan details
         self.call_assumption = "general"
         self.frame_lowered = False
+
+    @property
+    def clause_iters(self) -> "list[tuple]":
+        """A FLWOR's (clause, iterator) pairs; `return_iter` follows them."""
+        return list(zip(self.node.clauses, self.children))
+
+    @property
+    def return_iter(self) -> "RuntimeIterator":
+        return self.children[-1]
 
     def walk(self):
         yield self
@@ -155,78 +154,16 @@ def build_tree(resolved: ResolvedModule) -> CompiledTree:
 
 
 def _build(node) -> RuntimeIterator:
-    if isinstance(node, Literal):
-        return RuntimeIterator("literal", node, [])
-    if isinstance(node, VarRef):
-        return RuntimeIterator("var", node, [])
-    if isinstance(node, ContextItemRef):
-        return RuntimeIterator("context", node, [])
-    if isinstance(node, Comparison):
-        it = RuntimeIterator("comparison", node, [_build(node.left), _build(node.right)])
-        return it
-    if isinstance(node, Arithmetic):
-        return RuntimeIterator("arithmetic", node, [_build(node.left), _build(node.right)])
-    if isinstance(node, BoolOp):
-        return RuntimeIterator("boolop", node, [_build(node.left), _build(node.right)])
-    if isinstance(node, NotExpr):
-        return RuntimeIterator("not", node, [_build(node.operand)])
-    if isinstance(node, RangeTo):
-        return RuntimeIterator("range", node, [_build(node.lo), _build(node.hi)])
-    if isinstance(node, IfThenElse):
-        return RuntimeIterator(
-            "if", node, [_build(node.cond), _build(node.then), _build(node.orelse)]
-        )
-    if isinstance(node, ObjectConstructor):
-        children = []
-        for k, v in node.pairs:
-            children.append(_build(k))
-            children.append(_build(v))
-        return RuntimeIterator("object", node, children)
-    if isinstance(node, MergedObjectConstructor):
-        return RuntimeIterator("merged", node, [_build(node.source)])
-    if isinstance(node, ArrayConstructor):
-        return RuntimeIterator("array", node, [_build(m) for m in node.members])
-    if isinstance(node, SequenceExpr):
-        return RuntimeIterator("seq", node, [] if node.inner is None else [_build(node.inner)])
-    if isinstance(node, Predicate):
-        return RuntimeIterator("predicate", node, [_build(node.base), _build(node.condition)])
-    if isinstance(node, ObjectLookup):
-        return RuntimeIterator("lookup", node, [_build(node.base)])
-    if isinstance(node, StaticFunctionCall):
-        return RuntimeIterator("static-call", node, [_build(a) for a in node.args])
-    if isinstance(node, DynamicFunctionCall):
-        return RuntimeIterator(
-            "dynamic-call", node, [_build(node.callee)] + [_build(a) for a in node.args]
-        )
-    if isinstance(node, NamedFunctionRef):
-        return RuntimeIterator("fnref", node, [])
-    if isinstance(node, FLWOR):
-        it = RuntimeIterator("flwor", node, [])
-        clause_iters = []
-        for clause in node.clauses:
-            if isinstance(clause, ForClause):
-                child = _build(clause.source)
-            elif isinstance(clause, LetClause):
-                child = _build(clause.value)
-            elif isinstance(clause, WhereClause):
-                child = _build(clause.condition)
-            elif isinstance(clause, OrderByClause):
-                child = _build(clause.key)
-            else:  # pragma: no cover
-                raise AssertionError(type(clause))
-            clause_iters.append((clause, child))
-            it.children.append(child)
-        ret = _build(node.return_expr)
-        it.children.append(ret)
-        it.clause_iters = clause_iters
-        it.return_iter = ret
-        return it
-    raise AssertionError(f"unhandled node {type(node).__name__}")
+    return RuntimeIterator(node.kind, node, [_build(child) for child in node.children()])
 
 
 # ---------------------------------------------------------------------------
 # Lowerability of predicates and where clauses
 # ---------------------------------------------------------------------------
+
+
+# operators whose value depends on nothing but their operands
+_ROW_LOCAL = (Comparison, Arithmetic, BoolOp, NotExpr, IfThenElse, ObjectLookup, SequenceExpr)
 
 
 def _lowerable(node, allowed_var) -> bool:
@@ -238,22 +175,13 @@ def _lowerable(node, allowed_var) -> bool:
         return allowed_var is None
     if isinstance(node, VarRef):
         return allowed_var is not None and node.name == allowed_var
-    if isinstance(node, (Comparison, Arithmetic, BoolOp)):
-        return _lowerable(node.left, allowed_var) and _lowerable(node.right, allowed_var)
-    if isinstance(node, NotExpr):
-        return _lowerable(node.operand, allowed_var)
-    if isinstance(node, IfThenElse):
-        return all(_lowerable(n, allowed_var) for n in (node.cond, node.then, node.orelse))
-    if isinstance(node, ObjectLookup):
-        return _lowerable(node.base, allowed_var)
-    if isinstance(node, SequenceExpr):
-        return node.inner is None or _lowerable(node.inner, allowed_var)
     if isinstance(node, StaticFunctionCall):
         key = f"{node.name}#{len(node.args)}"
-        if node.target and node.target[0] == "builtin" and key in LOWERABLE_BUILTINS:
-            return all(_lowerable(a, allowed_var) for a in node.args)
+        if not (node.target and node.target[0] == "builtin" and key in LOWERABLE_BUILTINS):
+            return False
+    elif not isinstance(node, _ROW_LOCAL):
         return False
-    return False
+    return all(_lowerable(child, allowed_var) for child in node.children())
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +322,15 @@ class _InferencePass:
         if self.policy != POLICY_AUTO:
             return False
         node = it.node
-        fors = [c for c, _ in it.clause_iters if isinstance(c, ForClause)]
-        lets = [c for c, _ in it.clause_iters if isinstance(c, LetClause)]
-        orders = [c for c, _ in it.clause_iters if isinstance(c, OrderByClause)]
-        wheres = [c for c, _ in it.clause_iters if isinstance(c, WhereClause)]
+        fors = [(c, ch) for c, ch in it.clause_iters if isinstance(c, ForClause)]
+        lets = [c for c in node.clauses if isinstance(c, LetClause)]
+        orders = [c for c in node.clauses if isinstance(c, OrderByClause)]
+        wheres = [c for c in node.clauses if isinstance(c, WhereClause)]
         if len(fors) != 1 or lets or orders or len(wheres) > 1:
             return False
-        for_clause = fors[0]
+        for_clause, source_iter = fors[0]
         if for_clause.pos_var is not None:
             return False
-        source_iter = next(ch for c, ch in it.clause_iters if c is for_clause)
         if source_iter.mode != FRAME_MODE:
             return False
         ret = node.return_expr

@@ -65,7 +65,6 @@ from .lexer import CONTEXT, DECIMAL, DOUBLE, EOF, INTEGER, NAME, STRING, Token, 
 RESERVED = lexer.KEYWORDS
 
 _COMPARISON_OPS = ("eq", "ne", "lt", "le", "gt", "ge")
-_MULTIPLICATIVE = ("*", "div", "idiv", "mod")
 
 
 class _Parser:
@@ -78,10 +77,6 @@ class _Parser:
     @property
     def tok(self) -> Token:
         return self.tokens[self.i]
-
-    def peek(self, offset: int = 1) -> Token:
-        j = min(self.i + offset, len(self.tokens) - 1)
-        return self.tokens[j]
 
     def at_word(self, word: str) -> bool:
         t = self.tok

@@ -11,31 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ast_nodes import (
-    ArrayConstructor,
-    Arithmetic,
-    BoolOp,
-    Comparison,
-    ContextItemRef,
-    DynamicFunctionCall,
     FLWOR,
+    ContextItemRef,
     ForClause,
     FunctionDecl,
-    IfThenElse,
     LetClause,
-    Literal,
-    MergedObjectConstructor,
     NamedFunctionRef,
-    NotExpr,
-    ObjectConstructor,
-    ObjectLookup,
-    OrderByClause,
     Predicate,
-    RangeTo,
-    SequenceExpr,
     SourceModule,
     StaticFunctionCall,
     VarRef,
-    WhereClause,
 )
 from .errors import ResolutionError
 
@@ -63,8 +48,6 @@ def resolve(module: SourceModule, builtin_keys: "set[str]") -> ResolvedModule:
 def _resolve_expr(node, scope, pending, in_predicate, resolved, builtin_keys):
     """Walk `node`; `scope` holds visible variables, `pending` the names bound
     later in an enclosing FLWOR (hit one and it is a forward/cyclic use)."""
-    if isinstance(node, Literal):
-        return
     if isinstance(node, VarRef):
         if node.name in scope:
             node.binding = "local"
@@ -86,76 +69,9 @@ def _resolve_expr(node, scope, pending, in_predicate, resolved, builtin_keys):
             )
         resolved.binding_table.append(("context", "$$", "predicate"))
         return
-    if isinstance(node, (Comparison, Arithmetic, BoolOp)):
-        _resolve_expr(node.left, scope, pending, in_predicate, resolved, builtin_keys)
-        _resolve_expr(node.right, scope, pending, in_predicate, resolved, builtin_keys)
-        return
-    if isinstance(node, NotExpr):
-        _resolve_expr(node.operand, scope, pending, in_predicate, resolved, builtin_keys)
-        return
-    if isinstance(node, RangeTo):
-        _resolve_expr(node.lo, scope, pending, in_predicate, resolved, builtin_keys)
-        _resolve_expr(node.hi, scope, pending, in_predicate, resolved, builtin_keys)
-        return
-    if isinstance(node, IfThenElse):
-        for child in (node.cond, node.then, node.orelse):
-            _resolve_expr(child, scope, pending, in_predicate, resolved, builtin_keys)
-        return
-    if isinstance(node, ObjectConstructor):
-        for key, value in node.pairs:
-            _resolve_expr(key, scope, pending, in_predicate, resolved, builtin_keys)
-            _resolve_expr(value, scope, pending, in_predicate, resolved, builtin_keys)
-        return
-    if isinstance(node, MergedObjectConstructor):
-        _resolve_expr(node.source, scope, pending, in_predicate, resolved, builtin_keys)
-        return
-    if isinstance(node, ArrayConstructor):
-        for member in node.members:
-            _resolve_expr(member, scope, pending, in_predicate, resolved, builtin_keys)
-        return
-    if isinstance(node, SequenceExpr):
-        if node.inner is not None:
-            _resolve_expr(node.inner, scope, pending, in_predicate, resolved, builtin_keys)
-        return
     if isinstance(node, Predicate):
         _resolve_expr(node.base, scope, pending, in_predicate, resolved, builtin_keys)
         _resolve_expr(node.condition, scope, pending, True, resolved, builtin_keys)
-        return
-    if isinstance(node, ObjectLookup):
-        _resolve_expr(node.base, scope, pending, in_predicate, resolved, builtin_keys)
-        return
-    if isinstance(node, StaticFunctionCall):
-        key = f"{node.name}#{len(node.args)}"
-        if key in resolved.functions:
-            node.target = ("user", resolved.functions[key])
-            resolved.binding_table.append(("call", key, "user"))
-        elif key in builtin_keys:
-            node.target = ("builtin", key)
-            resolved.binding_table.append(("call", key, "builtin"))
-        else:
-            raise ResolutionError(
-                "UNKNOWN_FUNCTION", f"unknown function {node.name}#{len(node.args)}", node.pos
-            )
-        for arg in node.args:
-            _resolve_expr(arg, scope, pending, in_predicate, resolved, builtin_keys)
-        return
-    if isinstance(node, DynamicFunctionCall):
-        _resolve_expr(node.callee, scope, pending, in_predicate, resolved, builtin_keys)
-        for arg in node.args:
-            _resolve_expr(arg, scope, pending, in_predicate, resolved, builtin_keys)
-        return
-    if isinstance(node, NamedFunctionRef):
-        key = f"{node.name}#{node.arity}"
-        if key in resolved.functions:
-            node.target = ("user", resolved.functions[key])
-            resolved.binding_table.append(("fnref", key, "user"))
-        elif key in builtin_keys:
-            node.target = ("builtin", key)
-            resolved.binding_table.append(("fnref", key, "builtin"))
-        else:
-            raise ResolutionError(
-                "UNKNOWN_FUNCTION", f"unknown function {node.name}#{node.arity}", node.pos
-            )
         return
     if isinstance(node, FLWOR):
         inner = set(scope)
@@ -183,10 +99,25 @@ def _resolve_expr(node, scope, pending, in_predicate, resolved, builtin_keys):
                 clause_pending = (pending | set(remaining) | {clause.var}) - inner
                 _resolve_expr(clause.value, inner, clause_pending, in_predicate, resolved, builtin_keys)
                 inner = inner | {clause.var}
-            elif isinstance(clause, WhereClause):
-                _resolve_expr(clause.condition, inner, pending, in_predicate, resolved, builtin_keys)
-            elif isinstance(clause, OrderByClause):
-                _resolve_expr(clause.key, inner, pending, in_predicate, resolved, builtin_keys)
+            else:
+                _resolve_expr(clause.expr, inner, pending, in_predicate, resolved, builtin_keys)
         _resolve_expr(node.return_expr, inner, pending, in_predicate, resolved, builtin_keys)
         return
-    raise AssertionError(f"unhandled node {type(node).__name__}")
+    if isinstance(node, StaticFunctionCall):
+        _bind_function(node, len(node.args), "call", resolved, builtin_keys)
+    elif isinstance(node, NamedFunctionRef):
+        _bind_function(node, node.arity, "fnref", resolved, builtin_keys)
+    for child in node.children():
+        _resolve_expr(child, scope, pending, in_predicate, resolved, builtin_keys)
+
+
+def _bind_function(node, arity, tag, resolved, builtin_keys):
+    """Bind a static call or a `name#arity` reference to a declaration or a builtin."""
+    key = f"{node.name}#{arity}"
+    if key in resolved.functions:
+        node.target = ("user", resolved.functions[key])
+    elif key in builtin_keys:
+        node.target = ("builtin", key)
+    else:
+        raise ResolutionError("UNKNOWN_FUNCTION", f"unknown function {key}", node.pos)
+    resolved.binding_table.append((tag, key, node.target[0]))

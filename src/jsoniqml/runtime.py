@@ -144,7 +144,6 @@ class Evaluator:
             param_names=tuple(decl.params),
             signature=tuple(decl.param_types) + (decl.return_type,),
             body=info,
-            captured_env=None,
         )
 
 

@@ -1,3 +1,5 @@
+import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -7,19 +9,26 @@ import hypothesis.strategies as st
 from jsoniqml import lexer
 from jsoniqml.ast_nodes import (
     FLWOR,
+    Expr,
     ForClause,
+    LetClause,
+    Literal,
     MergedObjectConstructor,
     ObjectConstructor,
+    OrderByClause,
     Predicate,
     RangeTo,
     SequenceExpr,
     SourceModule,
     StaticFunctionCall,
+    WhereClause,
     walk,
 )
 from jsoniqml.errors import QueryParseError
+from jsoniqml.items import AtomicValue
 from jsoniqml.parser import parse, parse_expr_text
 from jsoniqml.printer import print_module
+from jsoniqml.runtime import _COMPILERS
 from querygen import generate_module
 
 PIPELINE_QUERY = (Path(__file__).parent / "data" / "pipeline_query.jq").read_text()
@@ -185,3 +194,118 @@ class TestPrinterRoundTrip:
             line, col = node.pos
             assert 1 <= line <= len(lines)
             assert 1 <= col <= len(lines[line - 1]) + 1
+
+
+class _Sentinels:
+    """Distinct leaf expressions to fill a node's expression-valued fields."""
+
+    def __init__(self):
+        self.count = 0
+
+    def one(self) -> Expr:
+        self.count += 1
+        return Literal(AtomicValue("integer", self.count))
+
+    def value_for(self, annotation: str):
+        annotation = annotation.strip("'\"")
+        if annotation in ("Expr", "Optional[Expr]"):
+            return self.one()
+        if annotation == "list[Expr]":
+            return [self.one(), self.one()]
+        if annotation == "list[tuple[Expr, Expr]]":
+            return [(self.one(), self.one()), (self.one(), self.one())]
+        if annotation == "list[Clause]":
+            return [
+                ForClause("a", "i", self.one()),
+                LetClause("b", self.one()),
+                WhereClause(self.one()),
+                OrderByClause(self.one()),
+            ]
+        assert "Expr" not in annotation and "Clause" not in annotation, annotation
+        return None
+
+
+def _expr_values(value) -> list:
+    """Every Expr a field value holds, in declaration order, lists and
+    key/value pairs flattened, clause fields looked into."""
+    if isinstance(value, Expr):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [e for v in value for e in _expr_values(v)]
+    if is_dataclass(value):
+        return [e for f in fields(value) for e in _expr_values(getattr(value, f.name))]
+    return []
+
+
+class TestNodeShape:
+    @pytest.mark.parametrize("cls", Expr.__subclasses__(), ids=lambda c: c.__name__)
+    def test_children_are_the_expression_fields_in_order(self, cls):
+        sentinels = _Sentinels()
+        node = cls(**{f.name: sentinels.value_for(f.type) for f in fields(cls) if f.name != "pos"})
+        expected = [e for f in fields(cls) for e in _expr_values(getattr(node, f.name))]
+        assert [id(c) for c in node.children()] == [id(e) for e in expected]
+        if isinstance(node, FLWOR):
+            assert [id(c) for c in node.children()] == [
+                id(clause.expr) for clause in node.clauses
+            ] + [id(node.return_expr)]
+
+    def test_empty_sequence_has_no_children(self):
+        assert list(SequenceExpr(None).children()) == []
+
+    def test_kinds_are_the_runtime_compilers(self):
+        kinds = [cls.kind for cls in Expr.__subclasses__()]
+        assert len(kinds) == len(set(kinds))
+        assert set(kinds) == set(_COMPILERS)
+
+
+# Inserted between tokens: whitespace, and comments that span lines and nest.
+_SEPARATORS = (
+    " ", "\n", "\t ", " \r\n  ", " (: one :) ", "\n(: a\n  b :)\n", " (: x (: y\n:)\n z :)"
+)
+
+
+def _spelling(token) -> str:
+    if token.type == lexer.VAR:
+        return "$" + token.value
+    if token.type == lexer.STRING:
+        return json.dumps(token.value, ensure_ascii=False)
+    return token.value
+
+
+def _position(text: str, offset: int) -> "tuple[int, int]":
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
+
+
+class TestTokenPositions:
+    @given(st.integers(0, 10**9), st.randoms(use_true_random=False))
+    @settings(max_examples=120)
+    def test_each_token_points_at_its_spelling(self, seed, rng):
+        original = lexer.lex(print_module(generate_module(seed)))[:-1]
+        parts, offsets, size = [], [], 0
+        for token in original:
+            sep = rng.choice(_SEPARATORS)
+            parts.append(sep)
+            offsets.append(size + len(sep))
+            parts.append(_spelling(token))
+            size += len(sep) + len(parts[-1])
+        text = "".join(parts)
+        tokens = lexer.lex(text)
+        assert [(t.type, t.value) for t in tokens[:-1]] == [(t.type, t.value) for t in original]
+        lines = text.split("\n")
+        for token, offset in zip(tokens, offsets):
+            assert (token.line, token.col) == _position(text, offset)
+            spelling = '"' if token.type == lexer.STRING else _spelling(token)
+            assert lines[token.line - 1][token.col - 1 :].startswith(spelling)
+        assert (tokens[-1].line, tokens[-1].col) == _position(text, len(text))
+        sep = rng.choice(_SEPARATORS)
+        with pytest.raises(QueryParseError) as err:
+            lexer.lex(text + sep + "@")
+        assert err.value.code == "LEX_ERROR"
+        assert err.value.position == _position(text + sep, len(text + sep))
+
+    def test_lex_error_after_multiline_comment(self):
+        with pytest.raises(QueryParseError) as err:
+            lexer.lex("1 (: a\n(: b\n :)\n:) + @")
+        assert err.value.code == "LEX_ERROR"
+        assert err.value.position == (4, 6)

@@ -110,3 +110,81 @@ class TestSaveLoad:
         with pytest.raises(DynamicError) as err:
             save_model(va, tmp_path / "t.json")
         assert err.value.code == "UNKNOWN_MODEL_KIND"
+
+
+class TestPipelineDocument:
+    def test_saved_pipeline_document_is_pinned(self, tmp_path):
+        from jsoniqml.items import ArrayItem, ObjectItem, SequenceValue
+        from test_ml import make_evaluator
+
+        va = get_transformer(
+            AtomicValue("string", "VectorAssembler"),
+            from_py({"inputCols": ["features"], "outputCol": "fv"}),
+        )
+        scaler = get_estimator(
+            AtomicValue("string", "MaxAbsScaler"), from_py({"featuresCol": "fv", "outputCol": "sf"})
+        )
+        svc = get_estimator(
+            AtomicValue("string", "LinearSVC"), from_py({"featuresCol": "sf", "maxIter": 3})
+        )
+        pipe = get_estimator(
+            AtomicValue("string", "Pipeline"), ObjectItem({"stages": ArrayItem([va, scaler, svc])})
+        )
+        frame = make_frame(
+            [
+                {"label": 0.0, "features": {"x": -2.0, "y": 1.0}},
+                {"label": 1.0, "features": {"x": 4.0, "y": -0.5}},
+            ],
+            {"label": "double", "features": {"x": "double", "y": "double"}},
+        )
+        model = make_evaluator().invoke_function(
+            pipe,
+            [SequenceValue.from_frame(frame), SequenceValue.single(ObjectItem({}))],
+            (1, 1),
+        ).first()
+        path = tmp_path / "pipe.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        # key order is part of the saved bytes
+        assert list(doc) == ["kind", "params", "weights", "intercept", "stages"]
+        assert [list(stage) for stage in doc["stages"]] == [
+            ["kind", "params", "weights", "intercept"],
+            ["kind", "params", "weights", "intercept", "maxAbs"],
+            ["kind", "params", "weights", "intercept"],
+        ]
+        assert list(doc["stages"][2]["params"]) == [
+            "featuresCol", "labelCol", "predictionCol", "labelKind"
+        ]
+        svc_weights = doc["stages"][2].pop("weights")
+        assert svc_weights == pytest.approx([0.225, -0.225])
+        assert doc == {
+            "kind": "Pipeline",
+            "params": {},
+            "weights": [],
+            "intercept": 0.0,
+            "stages": [
+                {
+                    "kind": "VectorAssembler",
+                    "params": {"inputCols": ["features"], "outputCol": "fv"},
+                    "weights": [],
+                    "intercept": 0.0,
+                },
+                {
+                    "kind": "MaxAbsScaler",
+                    "params": {"featuresCol": "fv", "outputCol": "sf"},
+                    "weights": [],
+                    "intercept": 0.0,
+                    "maxAbs": [4.0, 1.0],
+                },
+                {
+                    "kind": "LinearSVC",
+                    "params": {
+                        "featuresCol": "sf",
+                        "labelCol": "label",
+                        "predictionCol": "prediction",
+                        "labelKind": "double",
+                    },
+                    "intercept": 0.0,
+                },
+            ],
+        }

@@ -271,3 +271,10 @@ class TestRecursionDepth:
             with pytest.raises(DynamicError) as info:
                 run_query_lines(query, policy=policy)
             assert info.value.code == "RECURSION_LIMIT"
+
+    def test_deep_nesting_is_an_engine_error_at_compile_time(self):
+        for query in ("(" * 3000 + "1" + ")" * 3000, "[" * 3000 + "]" * 3000):
+            for policy in ("auto", "force-local", "frame"):
+                with pytest.raises(DynamicError) as info:
+                    run_query(query, policy=policy)
+                assert info.value.code == "RECURSION_LIMIT"
