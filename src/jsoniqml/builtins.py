@@ -9,6 +9,7 @@ without materializing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -22,7 +23,7 @@ from .items import (
     render_atomic,
     trusted_atomic,
 )
-from .ml import get_estimator, get_transformer, load_model, save_model
+from .ml import get_stage, load_model, save_model
 from .modes import FRAME_MODE, ST_ESTIMATOR, ST_TRANSFORMER
 # unused here, but perfbench/tracing.py swaps `validate_item` in this module
 # as well as in `frame`, so the name must stay bound
@@ -145,16 +146,10 @@ def _bi_annotate(ev, it, ctx, args):
     return SequenceValue.from_iter(validated_rows(rows.iter_items(), record, it.node.pos))
 
 
-def _bi_get_transformer(ev, it, ctx, args):
-    name = _single_item(args[0], "get-transformer name")
-    params = _single_item(args[1], "get-transformer parameters")
-    return SequenceValue.single(get_transformer(name, params))
-
-
-def _bi_get_estimator(ev, it, ctx, args):
-    name = _single_item(args[0], "get-estimator name")
-    params = _single_item(args[1], "get-estimator parameters")
-    return SequenceValue.single(get_estimator(name, params))
+def _bi_get_stage(role, ev, it, ctx, args):
+    name = _single_item(args[0], f"get-{role} name")
+    params = _single_item(args[1], f"get-{role} parameters")
+    return SequenceValue.single(get_stage(role, name, params))
 
 
 def _bi_save_model(ev, it, ctx, args):
@@ -182,8 +177,8 @@ CATALOG: "dict[str, BuiltinSpec]" = {
         BuiltinSpec("count#1", "one", None, _bi_count),
         BuiltinSpec("string#1", "one", None, _bi_string, item_fn=_string_of),
         BuiltinSpec("annotate#2", "frame", None, _bi_annotate),
-        BuiltinSpec("get-transformer#2", "one", ST_TRANSFORMER, _bi_get_transformer),
-        BuiltinSpec("get-estimator#2", "one", ST_ESTIMATOR, _bi_get_estimator),
+        BuiltinSpec("get-transformer#2", "one", ST_TRANSFORMER, partial(_bi_get_stage, "transformer")),
+        BuiltinSpec("get-estimator#2", "one", ST_ESTIMATOR, partial(_bi_get_stage, "estimator")),
         BuiltinSpec("save-model#2", "seq", None, _bi_save_model),
         BuiltinSpec("load-model#1", "one", ST_TRANSFORMER, _bi_load_model),
     )

@@ -5,19 +5,18 @@ Subcommands:
     gen-data  write a synthetic messy-text dataset
     to-libsvm validate a JSON-lines file against a schema and write LibSVM
 
-`run` exits 0 on success and otherwise with the error's exit-code family:
-1 parse, 2 resolve, 3 dynamic, 4 io, 5 materialization cap. Results go to
-stdout (or --output), one canonical line per top-level item; diagnostics go
-to stderr only.
+Every subcommand exits 0 on success and otherwise with the error's
+exit-code family: 1 parse, 2 resolve, 3 dynamic (also for nesting or
+recursion too deep), 4 io, 5 materialization cap. `run` writes its results
+to stdout (or --output), one canonical line per top-level item; diagnostics
+go to stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 from .engine import compile_query, evaluate_query
 from .errors import EngineError, SourceIOError
@@ -33,17 +32,6 @@ from .datagen import generate_dataset
 from .libsvm import write_libsvm
 from .modes import POLICIES, POLICY_AUTO
 from .runtime import DEFAULT_CAP
-
-
-@dataclass
-class RunConfig:
-    query_path: str
-    variables: "dict[str, Item]" = field(default_factory=dict)
-    output_path: Optional[str] = None
-    output_format: str = "json-lines"  # or "text"
-    mode_policy: str = POLICY_AUTO
-    materialization_cap: int = DEFAULT_CAP
-    schema_path: Optional[str] = None  # bound as $schema when given
 
 
 def _parse_var(text: str) -> "tuple[str, Item]":
@@ -63,88 +51,46 @@ def _render(item: Item, output_format: str) -> str:
     return canonical_serialize(item)
 
 
-def run(config: RunConfig) -> int:
+def _read(path: str, what: str) -> str:
     try:
-        try:
-            query_text = Path(config.query_path).read_text(encoding="utf-8")
-        except OSError as err:
-            raise SourceIOError(f"cannot read query {config.query_path}: {err}") from err
-        variables = dict(config.variables)
-        if config.schema_path:
-            try:
-                schema_text = Path(config.schema_path).read_text(encoding="utf-8")
-            except OSError as err:
-                raise SourceIOError(
-                    f"cannot read schema {config.schema_path}: {err}"
-                ) from err
-            variables["schema"] = parse_canonical(schema_text)
-
-        compiled = compile_query(query_text, config.mode_policy)
-        result = evaluate_query(compiled, variables, cap=config.materialization_cap)
-
-        sink = sys.stdout if config.output_path is None else open(
-            config.output_path, "w", encoding="utf-8"
-        )
-        try:
-            for item in result.iter_items():
-                sink.write(_render(item, config.output_format))
-                sink.write("\n")
-        finally:
-            if sink is not sys.stdout:
-                sink.close()
-        return 0
-    except EngineError as err:
-        position = ""
-        if err.position is not None:
-            position = f" at line {err.position[0]}, column {err.position[1]}"
-        print(f"error[{err.code}]{position}: {err.message}", file=sys.stderr)
-        return err.exit_code
-    except RecursionError:
-        print("error[RECURSION_LIMIT]: query nesting or recursion too deep", file=sys.stderr)
-        return 3
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as err:
+        raise SourceIOError(f"cannot read {what}{path}: {err}") from err
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> None:
     variables = dict(_parse_var(v) for v in args.var or [])
-    config = RunConfig(
-        query_path=args.query,
-        variables=variables,
-        output_path=args.output,
-        output_format=args.format,
-        mode_policy=args.mode,
-        materialization_cap=args.cap,
-        schema_path=args.schema,
-    )
-    return run(config)
+    query_text = _read(args.query, "query ")
+    if args.schema:
+        variables["schema"] = parse_canonical(_read(args.schema, "schema "))
+    compiled = compile_query(query_text, args.mode)
+    result = evaluate_query(compiled, variables, cap=args.cap)
 
-
-def _cmd_gen_data(args) -> int:
-    try:
-        generate_dataset(args.n, args.d, args.margin, args.seed, args.output)
-    except EngineError as err:
-        print(f"error[{err.code}]: {err.message}", file=sys.stderr)
-        return err.exit_code
-    return 0
-
-
-def _cmd_to_libsvm(args) -> int:
-    try:
+    sink = sys.stdout
+    if args.output is not None:
         try:
-            lines = Path(args.input).read_text(encoding="utf-8").splitlines()
+            sink = open(args.output, "w", encoding="utf-8")
         except OSError as err:
-            raise SourceIOError(f"cannot read {args.input}: {err}") from err
-        try:
-            schema_text = Path(args.schema).read_text(encoding="utf-8")
-        except OSError as err:
-            raise SourceIOError(f"cannot read schema {args.schema}: {err}") from err
-        descriptor = parse_canonical(schema_text)
-        rows = (parse_canonical(line) for line in lines if line.strip())
-        frame = annotate_rows(rows, descriptor)
-        write_libsvm(frame, args.label, args.features, args.output)
-    except EngineError as err:
-        print(f"error[{err.code}]: {err.message}", file=sys.stderr)
-        return err.exit_code
-    return 0
+            raise SourceIOError(f"cannot write {args.output}: {err}") from err
+    try:
+        for item in result.iter_items():
+            sink.write(_render(item, args.format))
+            sink.write("\n")
+    finally:
+        if sink is not sys.stdout:
+            sink.close()
+
+
+def _cmd_gen_data(args) -> None:
+    generate_dataset(args.n, args.d, args.margin, args.seed, args.output)
+
+
+def _cmd_to_libsvm(args) -> None:
+    lines = _read(args.input, "").splitlines()
+    descriptor = parse_canonical(_read(args.schema, "schema "))
+    rows = (parse_canonical(line) for line in lines if line.strip())
+    frame = annotate_rows(rows, descriptor)
+    write_libsvm(frame, args.label, args.features, args.output)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -185,8 +131,21 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; an error is printed to stderr as
+    `error[CODE]( at line L, column C): message` and sets the exit code."""
     args = build_arg_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        args.fn(args)
+    except EngineError as err:
+        position = ""
+        if err.position is not None:
+            position = f" at line {err.position[0]}, column {err.position[1]}"
+        print(f"error[{err.code}]{position}: {err.message}", file=sys.stderr)
+        return err.exit_code
+    except RecursionError:
+        print("error[RECURSION_LIMIT]: query nesting or recursion too deep", file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

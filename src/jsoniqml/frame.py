@@ -1,10 +1,11 @@
 """Columnar storage for validated homogeneous object sequences.
 
-A frame pairs an ordered schema with one column vector per field. Scalar
-numeric columns are flat numpy buffers; array columns hold a nondecreasing
-offsets vector plus a flattened member column (dense vector storage); record
-columns are nested column groups. Frames are immutable after construction
-and observationally equivalent to the stream of their row objects.
+A frame is a record column: named child columns of equal length under a
+record type, one per field. Scalar numeric columns are flat numpy buffers;
+array columns hold a nondecreasing offsets vector plus a flattened member
+column (dense vector storage); a nested record column is itself a frame.
+Frames are immutable after construction and observationally equivalent to
+the stream of their row objects.
 
 `annotate` has one row loop, `validated_rows`: it checks each row against
 the frame type the schema parses to, through `validate_item`. Local mode
@@ -15,13 +16,12 @@ which append without checking again.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import DynamicError
-from .items import ArrayItem, AtomicValue, Item, ObjectItem, SequenceValue
+from .items import ArrayItem, AtomicValue, Item, ObjectItem
 from .schema import FRAME_TO_ATOMIC, FrameColumnType, parse_schema, validate_item
 
 _NUMPY_SCALAR = {
@@ -46,24 +46,12 @@ _ARRAY_TYPECODE = {
 
 
 # ---------------------------------------------------------------------------
-# Column vectors
+# Column vectors: each has a `type`, a length, `item_at` and `take`; a record
+# column is a `Frame`.
 # ---------------------------------------------------------------------------
 
 
-class ColumnVector:
-    type: FrameColumnType
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def item_at(self, i: int) -> Item:
-        raise NotImplementedError
-
-    def take(self, indices: np.ndarray) -> "ColumnVector":
-        raise NotImplementedError
-
-
-class ScalarColumn(ColumnVector):
+class ScalarColumn:
     def __init__(self, ctype: FrameColumnType, values):
         self.type = ctype
         self.values = values  # numpy array, plain list, or int count for Null
@@ -90,8 +78,8 @@ class ScalarColumn(ColumnVector):
         return ScalarColumn(self.type, [self.values[i] for i in indices])
 
 
-class ArrayColumn(ColumnVector):
-    def __init__(self, ctype: FrameColumnType, offsets: np.ndarray, flat: ColumnVector):
+class ArrayColumn:
+    def __init__(self, ctype: FrameColumnType, offsets: np.ndarray, flat):
         assert ctype.kind == "Array"
         self.type = ctype
         self.offsets = offsets  # int64, length nrows + 1, nondecreasing
@@ -117,23 +105,48 @@ class ArrayColumn(ColumnVector):
         return ArrayColumn(self.type, new_offsets, self.flat.take(flat_idx))
 
 
-class RecordColumn(ColumnVector):
-    def __init__(self, ctype: FrameColumnType, children: "list[tuple[str, ColumnVector]]", nrows: int):
+class Frame:
+    """Named columns of equal length under a record type: the top level of an
+    annotated sequence, and every record column nested in it."""
+
+    def __init__(self, ctype: FrameColumnType, children: list, nrows: int):
         assert ctype.kind == "Record"
         self.type = ctype
-        self.children = children
+        self.children = children  # [(name, column)] in field order
         self.nrows = nrows
 
     def __len__(self) -> int:
         return self.nrows
 
-    def item_at(self, i: int) -> Item:
+    def item_at(self, i: int) -> ObjectItem:
         return ObjectItem({name: col.item_at(i) for name, col in self.children})
 
-    def take(self, indices: np.ndarray) -> "RecordColumn":
-        return RecordColumn(
-            self.type, [(n, c.take(indices)) for n, c in self.children], len(indices)
-        )
+    # a row of the top level is read through `row_item` and a nested record
+    # through `item_at`, so that perfbench/tracing.py can count row reads
+    row_item = item_at
+
+    def iter_items(self) -> Iterator[ObjectItem]:
+        for i in range(self.nrows):
+            yield self.row_item(i)
+
+    def take(self, indices: np.ndarray) -> "Frame":
+        return Frame(self.type, [(n, c.take(indices)) for n, c in self.children], len(indices))
+
+    def column(self, name: str) -> "ScalarColumn | ArrayColumn | Frame":
+        for cname, col in self.children:
+            if cname == name:
+                return col
+        raise DynamicError("UNKNOWN_COLUMN", f"no column named {name!r}")
+
+    def with_column(self, name: str, column) -> "Frame":
+        if any(cname == name for cname, _ in self.children):
+            raise DynamicError("DUPLICATE_COLUMN", f"column {name!r} already exists")
+        if len(column) != self.nrows:
+            raise DynamicError(
+                "SCHEMA_MISMATCH", f"column {name} has {len(column)} rows, frame has {self.nrows}"
+            )
+        ctype = FrameColumnType("Record", fields=self.type.fields + ((name, column.type),))
+        return Frame(ctype, self.children + [(name, column)], self.nrows)
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +202,8 @@ class _RecordBuilder:
             builder.append(pairs[name])
         self.count += 1
 
-    def finish(self) -> RecordColumn:
-        return RecordColumn(
-            self.ctype, [(n, b.finish()) for n, b in self.children], self.count
-        )
+    def finish(self) -> Frame:
+        return Frame(self.ctype, [(n, b.finish()) for n, b in self.children], self.count)
 
 
 def make_builder(ctype: FrameColumnType):
@@ -204,63 +215,8 @@ def make_builder(ctype: FrameColumnType):
 
 
 # ---------------------------------------------------------------------------
-# Frame
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Frame:
-    schema: "list[tuple[str, FrameColumnType]]"
-    columns: "list[ColumnVector]"
-    nrows: int
-
-    def __post_init__(self):
-        for (name, _), col in zip(self.schema, self.columns):
-            if len(col) != self.nrows:
-                raise DynamicError(
-                    "SCHEMA_MISMATCH", f"column {name} has {len(col)} rows, frame has {self.nrows}"
-                )
-
-    def column_names(self) -> "list[str]":
-        return [name for name, _ in self.schema]
-
-    def column(self, name: str) -> "tuple[FrameColumnType, ColumnVector]":
-        for (cname, ctype), col in zip(self.schema, self.columns):
-            if cname == name:
-                return ctype, col
-        raise DynamicError("UNKNOWN_COLUMN", f"no column named {name!r}")
-
-    def has_column(self, name: str) -> bool:
-        return any(cname == name for cname, _ in self.schema)
-
-    def row_item(self, i: int) -> ObjectItem:
-        return ObjectItem(
-            {name: col.item_at(i) for (name, _), col in zip(self.schema, self.columns)}
-        )
-
-    def iter_items(self) -> Iterator[ObjectItem]:
-        for i in range(self.nrows):
-            yield self.row_item(i)
-
-    def take(self, indices: np.ndarray) -> "Frame":
-        return Frame(list(self.schema), [c.take(indices) for c in self.columns], len(indices))
-
-    def with_column(self, name: str, ctype: FrameColumnType, column: ColumnVector) -> "Frame":
-        if self.has_column(name):
-            raise DynamicError("DUPLICATE_COLUMN", f"column {name!r} already exists")
-        return Frame(
-            list(self.schema) + [(name, ctype)], list(self.columns) + [column], self.nrows
-        )
-
-
-# ---------------------------------------------------------------------------
 # Frame operations
 # ---------------------------------------------------------------------------
-
-
-def frame_to_items(frame: Frame) -> SequenceValue:
-    """Stream the rows back as objects, field names in schema order."""
-    return SequenceValue.from_iter(frame.iter_items())
 
 
 def annotate_schema(descriptor: Item) -> FrameColumnType:
@@ -300,8 +256,7 @@ def annotate_rows(rows: "Iterable[Item]", descriptor: Item) -> Frame:
     builder = _RecordBuilder(record)
     for row in validated_rows(rows, record):
         builder.append(row)
-    column = builder.finish()
-    return Frame(list(record.fields), [col for _, col in column.children], column.nrows)
+    return builder.finish()
 
 
 def frame_filter(frame: Frame, predicate: "Callable[[ObjectItem], bool]") -> Frame:

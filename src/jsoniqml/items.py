@@ -365,6 +365,7 @@ def canonical_serialize(item: Item) -> str:
 
 _NUM_RE = re.compile(r"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 _WS = " \t\n\r"
+_HEX4 = re.compile("[0-9a-fA-F]{4}")
 
 
 class _TextParser:
@@ -414,7 +415,10 @@ class _TextParser:
             self.pos = m.end()
             if m.group(1) or m.group(2):
                 return AtomicValue("double", float(m.group(0)))
-            return AtomicValue("integer", int(m.group(0)))
+            try:
+                return AtomicValue("integer", int(m.group(0)))
+            except ValueError:  # more digits than int() converts
+                self.error("integer literal too long")
         self.error(f"unexpected character {ch!r}")
 
     def parse_string(self) -> str:
@@ -436,6 +440,8 @@ class _TextParser:
                 elif esc in "bfnrt":
                     out.append({"b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t"}[esc])
                 elif esc == "u":
+                    if not _HEX4.fullmatch(t, self.pos + 1, self.pos + 5):
+                        self.error("bad \\u escape")
                     out.append(chr(int(t[self.pos + 1 : self.pos + 5], 16)))
                     self.pos += 4
                 else:

@@ -69,9 +69,9 @@ def lex(text: str) -> "list[Token]":
     token but `$a - 1` is three) and one `prefix:local` colon.
 
     The offset `i` is the only cursor; `line` and `line_start` (the offset
-    of the current line's first character) move only where a newline can
-    be consumed, in whitespace and comments, and a column is derived as
-    `i - line_start + 1`.
+    of the current line's first character) move only where a line break
+    (`\n`, `\r\n` or a lone `\r`) can be consumed, in whitespace and
+    comments, and a column is derived as `i - line_start + 1`.
     """
     tokens: list[Token] = []
     i = 0
@@ -82,7 +82,7 @@ def lex(text: str) -> "list[Token]":
     while i < n:
         ch = text[i]
         if ch in " \t\r\n":
-            if ch == "\n":
+            if ch == "\n" or (ch == "\r" and not text.startswith("\n", i + 1)):
                 line += 1
                 line_start = i + 1
             i += 1
@@ -104,10 +104,10 @@ def lex(text: str) -> "list[Token]":
                     j += 1
             if depth != 0:
                 raise QueryParseError("LEX_ERROR", "unterminated comment", (line, col))
-            newlines = text.count("\n", i, j)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", i, j) + 1
+            breaks = text.count("\n", i, j) + text.count("\r", i, j) - text.count("\r\n", i, j)
+            if breaks:
+                line += breaks
+                line_start = max(text.rfind("\n", i, j), text.rfind("\r", i, j)) + 1
             i = j
             continue
         if ch == '"':

@@ -21,8 +21,9 @@ def _render_label(value, kind: str) -> str:
 
 
 def write_libsvm(frame: Frame, label_col: str, features_col: str, path) -> None:
-    label_type, labels = frame.column(label_col)
-    features_type, features = frame.column(features_col)
+    labels = frame.column(label_col)
+    features = frame.column(features_col)
+    label_type, features_type = labels.type, features.type
     if not (features_type.kind == "Array" and features_type.member.kind == "Double"):
         raise DynamicError(
             "TYPE_ERROR", f"column {features_col!r} is not a vector of doubles"

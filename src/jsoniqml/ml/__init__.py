@@ -4,6 +4,7 @@ from .registry import (
     ModelArtifact,
     features_matrix,
     get_estimator,
+    get_stage,
     get_transformer,
     make_model_item,
 )
@@ -13,6 +14,7 @@ __all__ = [
     "ModelArtifact",
     "features_matrix",
     "get_estimator",
+    "get_stage",
     "get_transformer",
     "load_model",
     "make_model_item",

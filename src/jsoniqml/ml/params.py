@@ -208,6 +208,12 @@ def merged_params(name: str, creation: dict, call: dict) -> dict:
     return merged
 
 
+def column_params(name: str) -> "list[str]":
+    """The string parameters of `name`, which are the columns it reads and
+    writes; a fitted model keeps them, so its saved document must hold them."""
+    return [key for key, entry in PARAM_SPECS[name].items() if entry.type == STRING]
+
+
 def require_param(name: str, params: dict, key: str):
     value = params.get(key)
     if value is None:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from types import MethodType
 from typing import Any, Callable, Optional
@@ -79,10 +79,15 @@ class NativeHandle:
     """
 
     tag: str
-    shape: str  # "transformer" | "estimator" | "builtin"
     invoke: Callable
-    params: dict = field(default_factory=dict)
-    artifact: Any = None
+    artifact: Any = None  # the ModelArtifact of a transformer or a fitted model
+
+    @property
+    def shape(self) -> str:
+        """Read from the tag: "transformer" (fitted models included),
+        "estimator" or "builtin"."""
+        role = self.tag.split(":", 1)[0]
+        return "transformer" if role == "model" else role
 
 
 class Evaluator:
@@ -840,7 +845,7 @@ def _run_builtin_fnref(plan, ev, ctx):
         name=name,
         param_names=tuple([f"arg{i}" for i in range(arity)]),
         signature=(None,) * arity + (None,),
-        native=NativeHandle(tag=f"builtin:{target}", shape="builtin", invoke=invoke),
+        native=NativeHandle(tag=f"builtin:{target}", invoke=invoke),
     )
 
 

@@ -14,7 +14,7 @@ import pytest
 from jsoniqml.cli import main as cli_main
 from jsoniqml.datagen import generate_dataset
 from jsoniqml.errors import DynamicError
-from jsoniqml.frame import annotate_rows, frame_to_items
+from jsoniqml.frame import annotate_rows
 from jsoniqml.items import (
     ArrayItem,
     AtomicValue,
@@ -354,7 +354,7 @@ def test_criterion_8_round_trips(tmp_path):
         for i in range(25)
     ]
     frame = annotate_rows(iter(rows), descriptor)
-    back = list(frame_to_items(frame).iter_items())
+    back = list(frame.iter_items())
     assert len(back) == len(rows)
     for a, b in zip(back, rows):
         assert deep_equal(a, b)

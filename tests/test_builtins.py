@@ -141,7 +141,7 @@ class TestConvertTwoMessyRows:
         assert result.is_frame()
         frame = result.frame
         assert frame.nrows == 2
-        names = dict(frame.schema)
+        names = dict(frame.type.fields)
         assert names["label"].kind == "String"
         assert names["features"].kind == "Record"
         assert len(names["features"].fields) == 6

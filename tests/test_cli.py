@@ -129,6 +129,38 @@ class TestToLibsvm:
         ) == 3
 
 
+class TestOutsideInput:
+    def test_var_with_bad_escape_binds_the_text(self, tmp_path, capsys):
+        query = write(tmp_path / "q.jq", "$x")
+        assert run_cli("run", "--query", query, "--var", 'x="\\u12"') == 0
+        assert capsys.readouterr().out == '"\\"\\\\u12\\""\n'
+
+    def test_unwritable_output_is_4(self, tmp_path, capsys):
+        query = write(tmp_path / "q.jq", "1")
+        assert run_cli("run", "--query", query, "--output", str(tmp_path)) == 4
+        assert capsys.readouterr().err.startswith("error[IO_ERROR]: cannot write ")
+
+
+class TestDeepNesting:
+    DEEP = "[" * 5000 + "]" * 5000
+
+    def test_deep_var_is_recursion_limit(self, tmp_path, capsys):
+        query = write(tmp_path / "q.jq", "$x")
+        assert run_cli("run", "--query", query, "--var", f"x={self.DEEP}") == 3
+        assert capsys.readouterr().err == (
+            "error[RECURSION_LIMIT]: query nesting or recursion too deep\n"
+        )
+
+    def test_deep_input_line_is_recursion_limit(self, tmp_path, capsys):
+        rows = write(tmp_path / "rows.jsonl", self.DEEP + "\n")
+        schema = write(tmp_path / "s.json", '{"label": "int", "features": ["double"]}')
+        assert run_cli(
+            "to-libsvm", "--input", rows, "--schema", schema,
+            "--output", str(tmp_path / "o.svm"),
+        ) == 3
+        assert "error[RECURSION_LIMIT]" in capsys.readouterr().err
+
+
 class TestModePolicies:
     def test_auto_equals_force_local_below_cap(self, tmp_path, capsys):
         query = write(

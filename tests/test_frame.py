@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from jsoniqml.errors import DynamicError
-from jsoniqml.frame import annotate_rows, frame_filter, frame_to_items, make_builder
+from jsoniqml.frame import annotate_rows, frame_filter, make_builder
 from jsoniqml.items import AtomicValue, ArrayItem, deep_equal, from_py
 from jsoniqml.schema import FrameColumnType, parse_schema, validate_item
 
@@ -22,7 +23,7 @@ class TestFromToItems:
     def test_two_int_rows(self):
         frame = annotate_rows(iter([from_py({"a": 1}), from_py({"a": 2})]), from_py({"a": "int"}))
         assert frame.nrows == 2
-        assert list(frame.columns[0].values) == [1, 2]
+        assert list(frame.children[0][1].values) == [1, 2]
 
     def test_empty(self):
         assert annotate_rows(iter([]), from_py({"a": "int"})).nrows == 0
@@ -36,7 +37,7 @@ class TestFromToItems:
 
     def test_row_objects_in_schema_order(self):
         frame = small_frame()
-        items = list(frame_to_items(frame).iter_items())
+        items = list(frame.iter_items())
         assert [list(o.pairs) for o in items] == [["label", "prediction"]] * 2
         assert items[0].pairs["label"].value == 1
 
@@ -48,7 +49,7 @@ class TestFromToItems:
             validate_item(from_py({"name": "b", "meta": {"x": 0.0, "y": []}}), record),
         ]
         frame = annotate_rows(iter(rows), descriptor)
-        back = list(frame_to_items(frame).iter_items())
+        back = list(frame.iter_items())
         for a, b in zip(back, rows):
             assert deep_equal(a, b)
 
@@ -72,7 +73,7 @@ class TestRoundTripProperty:
         record = parse_schema(descriptor)
         rows = [validate_item(from_py(r), record) for r in rows_py]
         frame = annotate_rows(iter(rows), descriptor)
-        back = list(frame_to_items(frame).iter_items())
+        back = list(frame.iter_items())
         assert len(back) == len(rows)
         for a, b in zip(back, rows):
             assert deep_equal(a, b)
@@ -88,7 +89,7 @@ class TestFilter:
         frame = small_frame()
         filtered = frame_filter(frame, lambda row: True)
         assert filtered.nrows == frame.nrows
-        for a, b in zip(frame_to_items(filtered).iter_items(), frame_to_items(frame).iter_items()):
+        for a, b in zip(filtered.iter_items(), frame.iter_items()):
             assert deep_equal(a, b)
 
     def test_differential_against_local_filter(self):
@@ -99,8 +100,8 @@ class TestFilter:
         def pred(row):
             return row.pairs["v"].value > 10.0
 
-        via_frame = list(frame_to_items(frame_filter(frame, pred)).iter_items())
-        via_local = [r for r in frame_to_items(frame).iter_items() if pred(r)]
+        via_frame = list(frame_filter(frame, pred).iter_items())
+        via_local = [r for r in frame.iter_items() if pred(r)]
         assert len(via_frame) == len(via_local)
         for a, b in zip(via_frame, via_local):
             assert deep_equal(a, b)
@@ -131,10 +132,10 @@ class TestAddProjectCount:
         frame = annotate_rows((from_py({"k": i}) for i in range(3)), descriptor)
         ctype = FrameColumnType("Double")
         out = frame.with_column(
-            "zero", ctype, built_column(ctype, frame, lambda row: AtomicValue("double", 0.0))
+            "zero", built_column(ctype, frame, lambda row: AtomicValue("double", 0.0))
         )
-        assert out.column_names() == ["k", "zero"]
-        assert list(out.columns[1].values) == [0.0, 0.0, 0.0]
+        assert [name for name, _ in out.type.fields] == ["k", "zero"]
+        assert list(out.children[1][1].values) == [0.0, 0.0, 0.0]
 
     def test_add_tokens_column(self):
         descriptor = from_py({"text": "string"})
@@ -148,7 +149,7 @@ class TestAddProjectCount:
                 [AtomicValue("string", t) for t in row.pairs["text"].value.split(" ")]
             )
 
-        out = frame.with_column("tokens", tokens_type, built_column(tokens_type, frame, tokens))
+        out = frame.with_column("tokens", built_column(tokens_type, frame, tokens))
         assert deep_equal(out.row_item(0).pairs["tokens"], from_py(["a", "b"]))
         assert deep_equal(out.row_item(1).pairs["tokens"], from_py(["c"]))
 
@@ -157,8 +158,17 @@ class TestAddProjectCount:
         ctype = FrameColumnType("Double")
         column = built_column(ctype, frame, lambda row: AtomicValue("double", 0.0))
         with pytest.raises(DynamicError) as err:
-            frame.with_column("label", ctype, column)
+            frame.with_column("label", column)
         assert err.value.code == "DUPLICATE_COLUMN"
+
+    def test_column_of_wrong_length(self):
+        frame = small_frame()
+        ctype = FrameColumnType("Double")
+        column = built_column(ctype, frame.take(np.arange(1)), lambda row: AtomicValue("double", 0.0))
+        with pytest.raises(DynamicError) as err:
+            frame.with_column("zero", column)
+        assert err.value.code == "SCHEMA_MISMATCH"
+        assert err.value.message == "column zero has 1 rows, frame has 2"
 
     def test_unknown_column(self):
         with pytest.raises(DynamicError) as err:
@@ -172,7 +182,7 @@ class TestSequenceEquivalence:
         from jsoniqml.items import SequenceValue
 
         via_seq = list(SequenceValue.from_frame(frame).iter_items())
-        via_stream = list(frame_to_items(frame).iter_items())
+        via_stream = list(frame.iter_items())
         assert len(via_seq) == len(via_stream)
         for a, b in zip(via_seq, via_stream):
             assert deep_equal(a, b)

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from conftest import json_items
-from jsoniqml.errors import DynamicError
+from jsoniqml.errors import DynamicError, EngineError
 from jsoniqml.items import (
     ArrayItem,
     AtomicValue,
@@ -76,6 +76,26 @@ class TestRoundTrip:
         out = parse_canonical("NaN")
         assert out.kind == "double" and math.isnan(out.value)
         assert deep_equal(out, AtomicValue("double", float("nan")))
+
+
+class TestParseCanonicalErrors:
+    @pytest.mark.parametrize(
+        "text", ['"\\u12"', '"\\u+1_2"', '"\\u"', '"\\u00g1"', '"\\u 123"', "1" * 5000]
+    )
+    def test_bad_text_is_item_parse_error(self, text):
+        with pytest.raises(DynamicError) as err:
+            parse_canonical(text)
+        assert err.value.code == "ITEM_PARSE_ERROR"
+
+    def test_four_hex_digits_escape(self):
+        assert parse_canonical('"\\u00e9\\u0041b"').value == "\u00e9Ab"
+
+    @given(st.text())
+    def test_arbitrary_text_parses_or_raises_engine_error(self, text):
+        try:
+            parse_canonical(text)
+        except EngineError:
+            pass
 
 
 class TestDeepEqual:

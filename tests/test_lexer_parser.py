@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -189,7 +190,7 @@ class TestPrinterRoundTrip:
     def test_positions_within_bounds(self, seed):
         text = print_module(generate_module(seed))
         module = parse(text)
-        lines = text.split("\n")
+        lines = _LINE_BREAK.split(text)
         for node in walk(module):
             line, col = node.pos
             assert 1 <= line <= len(lines)
@@ -260,8 +261,11 @@ class TestNodeShape:
 
 # Inserted between tokens: whitespace, and comments that span lines and nest.
 _SEPARATORS = (
-    " ", "\n", "\t ", " \r\n  ", " (: one :) ", "\n(: a\n  b :)\n", " (: x (: y\n:)\n z :)"
+    " ", "\n", "\t ", " \r\n  ", " (: one :) ", "\n(: a\n  b :)\n", " (: x (: y\n:)\n z :)",
+    "\r", "\r\n", " (: a\r b\r\n :)\r",
 )
+# a line break is \n, \r\n or a lone \r
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
 def _spelling(token) -> str:
@@ -273,8 +277,9 @@ def _spelling(token) -> str:
 
 
 def _position(text: str, offset: int) -> "tuple[int, int]":
-    line_start = text.rfind("\n", 0, offset) + 1
-    return text.count("\n", 0, offset) + 1, offset - line_start + 1
+    breaks = list(_LINE_BREAK.finditer(text, 0, offset))
+    line_start = breaks[-1].end() if breaks else 0
+    return len(breaks) + 1, offset - line_start + 1
 
 
 class TestTokenPositions:
@@ -292,7 +297,7 @@ class TestTokenPositions:
         text = "".join(parts)
         tokens = lexer.lex(text)
         assert [(t.type, t.value) for t in tokens[:-1]] == [(t.type, t.value) for t in original]
-        lines = text.split("\n")
+        lines = _LINE_BREAK.split(text)
         for token, offset in zip(tokens, offsets):
             assert (token.line, token.col) == _position(text, offset)
             spelling = '"' if token.type == lexer.STRING else _spelling(token)

@@ -6,7 +6,7 @@ import pytest
 from jsoniqml.builtins import CATALOG
 from jsoniqml.engine import compile_query
 from jsoniqml.errors import DynamicError
-from jsoniqml.frame import annotate_rows, frame_to_items
+from jsoniqml.frame import annotate_rows
 from jsoniqml.items import AtomicValue, SequenceValue, deep_equal, from_py
 from jsoniqml.ml import kernels
 from jsoniqml.ml.params import PARAM_SPECS, param_defaults, validate_params
@@ -55,7 +55,7 @@ def vectors_frame(vectors, labels=None):
 
 
 def column_values(frame, name):
-    ctype, col = frame.column(name)
+    col = frame.column(name)
     return [col.item_at(i) for i in range(frame.nrows)]
 
 
@@ -197,11 +197,11 @@ class TestTokenizer:
     def test_input_frame_unmodified(self):
         fn = transformer("Tokenizer", {"inputCol": "t", "outputCol": "tok"})
         frame = make_frame([{"t": "a b"}], {"t": "string"})
-        before = [list(o.pairs) for o in frame_to_items(frame).iter_items()]
+        before = [list(o.pairs) for o in frame.iter_items()]
         out = apply_fn(fn, frame).frame
-        after = [list(o.pairs) for o in frame_to_items(frame).iter_items()]
+        after = [list(o.pairs) for o in frame.iter_items()]
         assert before == after
-        assert out.column_names() == ["t", "tok"]
+        assert [name for name, _ in out.type.fields] == ["t", "tok"]
 
 
 class TestVectorAssembler:
@@ -303,7 +303,7 @@ class TestMaxAbsScaler:
         train = vectors_frame(X.tolist())
         model = fit(fn, train)
         out = apply_fn(model, train).frame
-        _, col = out.column("scaledFeatures")
+        col = out.column("scaledFeatures")
         scaled = col.flat.values.reshape(20, 4)
         assert np.all(np.abs(scaled) <= 1.0 + 1e-12)
 
@@ -367,6 +367,14 @@ class TestLogisticRegression:
         skewed = apply_fn(model, train, {"thresholds": [0.001, 0.999]}).frame
         preds = [i.value for i in column_values(skewed, "prediction")]
         assert preds == [0.0, 0.0]
+
+    def test_thresholds_need_one_entry_per_class(self):
+        train = vectors_frame([[-1.0], [1.0]], labels=[0.0, 1.0])
+        model = fit(estimator("LogisticRegression", {"maxIter": 2}), train)
+        for thresholds in ([0.5], [0.2, 0.3, 0.5]):
+            with pytest.raises(DynamicError) as err:
+                apply_fn(model, train, {"thresholds": thresholds})
+            assert err.value.code == "PARAM_TYPE_ERROR"
 
     def test_coefficient_bounds_clip(self):
         fn = estimator(
@@ -549,7 +557,7 @@ class TestPipeline:
             pipe, [SequenceValue.from_frame(frame), stage_params], (1, 1)
         ).first()
         out = apply_fn(model, frame).frame
-        assert out.column_names() == ["label", "features", "fv", "prediction"]
+        assert [name for name, _ in out.type.fields] == ["label", "features", "fv", "prediction"]
         assert [i.value for i in column_values(out, "prediction")] == [0.0, 1.0]
 
     def test_single_transformer_pipeline_is_that_transformer(self):
@@ -566,7 +574,7 @@ class TestPipeline:
         ).first()
         via_pipe = apply_fn(model, frame).frame
         direct = apply_fn(tok, frame).frame
-        for a, b in zip(frame_to_items(via_pipe).iter_items(), frame_to_items(direct).iter_items()):
+        for a, b in zip(via_pipe.iter_items(), direct.iter_items()):
             assert deep_equal(a, b)
 
     def test_empty_stages_rejected(self):
@@ -643,7 +651,7 @@ class TestPipeline:
         svc_model = fit(svc, step1)
         sequential = apply_fn(svc_model, step1).frame
         for a, b in zip(
-            frame_to_items(via_pipeline).iter_items(), frame_to_items(sequential).iter_items()
+            via_pipeline.iter_items(), sequential.iter_items()
         ):
             assert deep_equal(a, b)
 
@@ -662,7 +670,7 @@ class TestEmptyFrames:
         empty = vectors_frame([])
         out = apply_fn(model, empty).frame
         assert out.nrows == 0
-        assert "prediction" in out.column_names()
+        assert "prediction" in dict(out.type.fields)
 
     def test_zero_field_schema_counts_rows(self):
         from jsoniqml.engine import run_query_lines

@@ -1,12 +1,14 @@
 import json
+from functools import lru_cache
 
 import pytest
+import hypothesis.strategies as st
+from hypothesis import given, settings
 
-from jsoniqml.errors import DynamicError
-from jsoniqml.frame import frame_to_items
+from jsoniqml.errors import DynamicError, EngineError
 from jsoniqml.items import AtomicValue, deep_equal, from_py
-from jsoniqml.ml.persistence import load_model, save_model
-from jsoniqml.ml.registry import get_estimator, get_transformer
+from jsoniqml.ml.persistence import _item_from_dict, load_model, save_model
+from jsoniqml.ml.registry import artifact_to_dict, get_estimator, get_transformer
 
 from test_ml import apply_fn, column_values, fit, make_frame, vectors_frame
 
@@ -74,7 +76,7 @@ class TestSaveLoad:
         loaded = load_model(path)
         out_a = apply_fn(model, frame).frame
         out_b = apply_fn(loaded, frame).frame
-        for a, b in zip(frame_to_items(out_a).iter_items(), frame_to_items(out_b).iter_items()):
+        for a, b in zip(out_a.iter_items(), out_b.iter_items()):
             assert deep_equal(a, b)
 
     def test_naive_bayes_round_trip(self, tmp_path):
@@ -188,3 +190,145 @@ class TestPipelineDocument:
                 },
             ],
         }
+
+
+def saved_document(model, tmp_path) -> dict:
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    return json.loads(path.read_text())
+
+
+@lru_cache(maxsize=None)
+def saved_documents() -> "tuple[str, ...]":
+    """Saved LinearSVC, NaiveBayes, MaxAbsScaler and Pipeline documents, as
+    JSON text, all applicable to `apply_frame()`."""
+    from jsoniqml.items import ArrayItem, ObjectItem
+
+    train = apply_frame()
+    va = get_transformer(
+        AtomicValue("string", "VectorAssembler"),
+        from_py({"inputCols": ["features"], "outputCol": "fv"}),
+    )
+    scaler = get_estimator(
+        AtomicValue("string", "MaxAbsScaler"), from_py({"featuresCol": "fv", "outputCol": "sf"})
+    )
+    svc = get_estimator(
+        AtomicValue("string", "LinearSVC"), from_py({"featuresCol": "sf", "maxIter": 3})
+    )
+    pipe = get_estimator(
+        AtomicValue("string", "Pipeline"), ObjectItem({"stages": ArrayItem([va, scaler, svc])})
+    )
+    models = [
+        fit(get_estimator(AtomicValue("string", "LinearSVC"), from_py({"maxIter": 3})), train),
+        fit(get_estimator(AtomicValue("string", "NaiveBayes"), from_py({})), train),
+        fit(get_estimator(AtomicValue("string", "MaxAbsScaler"), from_py({})), train),
+        fit(pipe, train),
+    ]
+    return tuple(json.dumps(artifact_to_dict(m.native.artifact)) for m in models)
+
+
+def apply_frame():
+    return vectors_frame([[1.0, 0.5], [0.0, 2.0], [3.0, 0.0]], labels=[1.0, 0.0, 1.0])
+
+
+def load_and_apply(document):
+    return apply_fn(_item_from_dict(document), apply_frame())
+
+
+class TestMalformedDocuments:
+    def svc(self, tmp_path) -> dict:
+        return saved_document(svc_model()[0], tmp_path)
+
+    def test_saved_documents_load_and_apply(self):
+        for text in saved_documents():
+            assert load_and_apply(json.loads(text)).is_frame()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: {"kind": "LinearSVC"},
+            lambda doc: {**doc, "weights": "abc"},
+            lambda doc: {**doc, "intercept": "x"},
+            lambda doc: {**doc, "params": [1]},
+            lambda doc: {**doc, "params": {**doc["params"], "labelKind": "zzz"}},
+        ],
+    )
+    def test_linear_svc_document(self, tmp_path, edit):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(self.svc(tmp_path))))
+        with pytest.raises(DynamicError) as err:
+            load_model(path)
+        assert err.value.code == "MALFORMED_MODEL"
+        assert err.value.exit_code == 3
+
+    @pytest.mark.parametrize(
+        "kind, key", [("NaiveBayes", "featureLogLikelihood"), ("MaxAbsScaler", "maxAbs")]
+    )
+    def test_document_without_its_numbers(self, tmp_path, kind, key):
+        model = fit(get_estimator(AtomicValue("string", kind), from_py({})), apply_frame())
+        document = saved_document(model, tmp_path)
+        del document[key]
+        with pytest.raises(DynamicError) as err:
+            _item_from_dict(document)
+        assert err.value.code == "MALFORMED_MODEL"
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_document_applies_or_raises_engine_error(self, data):
+        document = json.loads(data.draw(st.sampled_from(saved_documents())))
+        path = data.draw(st.sampled_from(list(_paths(document))))
+        if path and data.draw(st.booleans()):
+            mutated = _mutated(document, path, _DELETE)
+        else:
+            original = _get(document, path)
+            replacement = data.draw(
+                st.sampled_from([v for v in _JSON_VALUES if _json_type(v) != _json_type(original)])
+            )
+            mutated = _mutated(document, path, replacement)
+        try:
+            load_and_apply(mutated)
+        except EngineError:
+            pass
+
+
+_DELETE = object()
+_JSON_VALUES = (None, True, 0, 1.5, "s", [], {}, [1.0], {"a": 1})
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return type(value).__name__
+
+
+def _paths(value, path=()):
+    """The path of every value in a document, the root included."""
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _get(document, path):
+    for key in path:
+        document = document[key]
+    return document
+
+
+def _mutated(document, path, replacement):
+    """`document` with the value at `path` deleted (`_DELETE`) or replaced."""
+    if not path:
+        return replacement
+    parent = _get(document, path[:-1])
+    if replacement is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    return document

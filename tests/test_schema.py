@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 
 from jsoniqml import run_query
 from jsoniqml.errors import DynamicError
-from jsoniqml.frame import annotate_rows, frame_to_items
+from jsoniqml.frame import annotate_rows
 from jsoniqml.items import AtomicValue, ObjectItem, deep_equal, from_py
 from jsoniqml.modes import POLICIES
 from jsoniqml.schema import FrameColumnType, parse_schema, validate_item
@@ -150,7 +150,7 @@ class TestAnnotate:
         frame = annotate_rows(iter(rows), descriptor)
         record = parse_schema(descriptor)
         direct = [validate_item(row, record) for row in rows]
-        via_frame = list(frame_to_items(frame).iter_items())
+        via_frame = list(frame.iter_items())
         assert len(via_frame) == len(direct)
         for a, b in zip(via_frame, direct):
             assert deep_equal(a, b)
@@ -162,7 +162,7 @@ class TestAnnotate:
         frame = annotate_rows(iter(rows), descriptor)
         record = parse_schema(descriptor)
         direct = [validate_item(r, record) for r in rows]
-        via_frame = list(frame_to_items(frame).iter_items())
+        via_frame = list(frame.iter_items())
         assert len(via_frame) == len(direct)
         for a, b in zip(via_frame, direct):
             assert deep_equal(a, b)
@@ -170,7 +170,7 @@ class TestAnnotate:
     def test_empty_rows_keep_schema(self):
         frame = annotate_rows(iter([]), from_py({"a": "double"}))
         assert frame.nrows == 0
-        assert frame.schema == [("a", FrameColumnType("Double"))]
+        assert frame.type.fields == (("a", FrameColumnType("Double")),)
 
     def test_non_object_row(self):
         with pytest.raises(DynamicError) as err:
