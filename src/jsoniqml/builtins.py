@@ -2,8 +2,8 @@
 
 Each entry declares the builtin's execution-mode behavior (looked up during
 inference) and its evaluator. Builtin arguments arrive as lazily evaluated
-sequences; aggregates like count and sinks like annotate consume them
-without materializing.
+sequences or frames; aggregates like count and sinks like annotate consume
+them without materializing. In `frame` mode `annotate` returns the `Frame`.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .items import (
     FunctionItem,
     Item,
     SequenceValue,
+    at_most_one,
     render_atomic,
     trusted_atomic,
 )
@@ -41,24 +42,21 @@ class BuiltinSpec:
     item_fn: Optional[Callable] = None
 
 
-def _single_item(seq: SequenceValue, what: str) -> Item:
-    items = seq.iter_items()
-    first = next(items, None)
-    if first is None or next(items, None) is not None:
-        raise DynamicError("TYPE_ERROR", f"{what} expects exactly one item")
-    return first
+def _single_item(seq, what: str) -> Item:
+    message = f"{what} expects exactly one item"
+    item = at_most_one(seq, "TYPE_ERROR", message)
+    if item is None:
+        raise DynamicError("TYPE_ERROR", message)
+    return item
 
 
-def _string_arg(seq: SequenceValue, what: str) -> str:
-    items = seq.iter_items()
-    first = next(items, None)
-    if first is None:
+def _string_arg(seq, what: str) -> str:
+    item = at_most_one(seq, "TYPE_ERROR", f"{what} expects at most one item")
+    if item is None:
         return ""
-    if next(items, None) is not None:
-        raise DynamicError("TYPE_ERROR", f"{what} expects at most one item")
-    if not (isinstance(first, AtomicValue) and first.kind == "string"):
+    if not (isinstance(item, AtomicValue) and item.kind == "string"):
         raise DynamicError("TYPE_ERROR", f"{what} expects a string")
-    return first.value
+    return item.value
 
 
 def _bi_unparsed_text_lines(ev, it, ctx, args):
@@ -120,11 +118,8 @@ def _bi_count(ev, it, ctx, args):
 
 
 def _bi_string(ev, it, ctx, args):
-    items = args[0].iter_items()
-    first = next(items, None)
-    if first is not None and next(items, None) is not None:
-        raise DynamicError("TYPE_ERROR", "string() expects at most one item")
-    return SequenceValue.single(_string_of(first))
+    item = at_most_one(args[0], "TYPE_ERROR", "string() expects at most one item")
+    return SequenceValue.single(_string_of(item))
 
 
 def _string_of(item: Optional[Item]) -> AtomicValue:
@@ -139,7 +134,7 @@ def _bi_annotate(ev, it, ctx, args):
     descriptor = _single_item(args[1], "annotate schema")
     rows = args[0]
     if it.mode == FRAME_MODE:
-        return SequenceValue.from_frame(annotate_rows(rows.iter_items(), descriptor))
+        return annotate_rows(rows.iter_items(), descriptor)
     # local mode validates lazily; a bad row raises at this call's position
     # even though the rows are pulled after it returns
     record = annotate_schema(descriptor)

@@ -7,6 +7,7 @@ from typing import Any, Optional
 
 from .builtins import CATALOG
 from .errors import DynamicError
+from .frame import Frame
 from .items import (
     ArrayItem,
     AtomicValue,
@@ -63,7 +64,9 @@ def evaluate_query(
     compiled: CompiledQuery,
     variables: "Optional[dict[str, Any]]" = None,
     cap: int = DEFAULT_CAP,
-) -> SequenceValue:
+) -> "SequenceValue | Frame":
+    """The query's value: a `SequenceValue`, or the `Frame` itself when the
+    body runs in `frame` mode; both iterate, count and materialize."""
     external: dict[str, Item] = {}
     for name, value in (variables or {}).items():
         external[name] = _to_item(value)

@@ -5,7 +5,9 @@ record type, one per field. Scalar numeric columns are flat numpy buffers;
 array columns hold a nondecreasing offsets vector plus a flattened member
 column (dense vector storage); a nested record column is itself a frame.
 Frames are immutable after construction and observationally equivalent to
-the stream of their row objects.
+the stream of their row objects: a top-level frame is the value of every
+`frame`-mode iterator, and answers the sequence calls (`iter_items`, `count`,
+`materialize`) that item consumers make.
 
 `annotate` has one row loop, `validated_rows`: it checks each row against
 the frame type the schema parses to, through `validate_item`. Local mode
@@ -20,7 +22,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import DynamicError
+from .errors import DynamicError, MaterializationCapError
 from .items import ArrayItem, AtomicValue, Item, ObjectItem
 from .schema import FRAME_TO_ATOMIC, FrameColumnType, parse_schema, validate_item
 
@@ -128,6 +130,15 @@ class Frame:
     def iter_items(self) -> Iterator[ObjectItem]:
         for i in range(self.nrows):
             yield self.row_item(i)
+
+    def count(self) -> int:
+        return self.nrows
+
+    def materialize(self, cap: int) -> "list[ObjectItem]":
+        """The rows as objects; a frame of more than `cap` rows raises."""
+        if self.nrows > cap:
+            raise MaterializationCapError(cap)
+        return list(self.iter_items())
 
     def take(self, indices: np.ndarray) -> "Frame":
         return Frame(self.type, [(n, c.take(indices)) for n, c in self.children], len(indices))

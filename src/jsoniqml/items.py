@@ -1,8 +1,9 @@
 """Item data model: atomic values, objects, arrays, function items, sequences.
 
-Everything an expression produces is a sequence of items. A sequence has one
-logical meaning and one of three physical representations: a single item, a
-pull stream, or a columnar frame. Items are immutable after construction and
+Everything an expression produces is a sequence of items. A `SequenceValue`
+is a single item or a pull stream; a `frame`-mode value is instead the
+columnar `Frame` itself (see `frame.py`), which answers the same `iter_items`,
+`count` and `materialize` calls. Items are immutable after construction and
 safe to share; stream payloads backed by a raw iterator are single-consumer.
 """
 
@@ -195,11 +196,13 @@ def from_py(value: Any) -> Item:
 
 
 class SequenceValue:
-    """Logical sequence of items with a single/stream/frame representation."""
+    """Logical sequence of items, held as a single item or a pull stream.
+
+    A `frame`-mode value is not a `SequenceValue` but the `Frame` itself;
+    consumers that only iterate, count or materialize take either."""
 
     SINGLE = "single"
     STREAM = "stream"
-    FRAME = "frame"
 
     __slots__ = ("representation", "_payload", "_spent")
 
@@ -223,29 +226,14 @@ class SequenceValue:
         return cls(cls.STREAM, iter(iterator))
 
     @classmethod
-    def from_frame(cls, frame) -> "SequenceValue":
-        return cls(cls.FRAME, frame)
-
-    @classmethod
     def empty(cls) -> "SequenceValue":
         return cls(cls.STREAM, [])
 
     # -- accessors -----------------------------------------------------------
 
-    @property
-    def frame(self):
-        if self.representation != self.FRAME:
-            raise ValueError("not a frame-backed sequence")
-        return self._payload
-
-    def is_frame(self) -> bool:
-        return self.representation == self.FRAME
-
     def iter_items(self) -> "Iterator[Item]":
         if self.representation == self.SINGLE:
             return iter((self._payload,))
-        if self.representation == self.FRAME:
-            return self._payload.iter_items()
         if isinstance(self._payload, list):
             return iter(self._payload)
         if self._spent:
@@ -257,7 +245,7 @@ class SequenceValue:
         """Collect into a list, raising once more than `cap` items appear."""
         if self.representation == self.SINGLE:
             return [self._payload]
-        if isinstance(self._payload, list) and self.representation == self.STREAM:
+        if isinstance(self._payload, list):
             if len(self._payload) > cap:
                 raise MaterializationCapError(cap)
             return self._payload
@@ -271,8 +259,6 @@ class SequenceValue:
     def count(self) -> int:
         if self.representation == self.SINGLE:
             return 1
-        if self.representation == self.FRAME:
-            return self._payload.nrows
         if isinstance(self._payload, list):
             return len(self._payload)
         return sum(1 for _ in self.iter_items())
@@ -539,13 +525,20 @@ def deep_equal(a: Item, b: Item) -> bool:
     return False
 
 
-def effective_boolean_value(seq: SequenceValue) -> bool:
+def at_most_one(seq, code: str, message: str, pos=None) -> "Optional[Item]":
+    """The item of a sequence (or frame) that may hold at most one, None when
+    it is empty; a second item raises `code`. At most two items are read."""
+    items = seq.iter_items()
+    first = next(items, None)
+    if first is not None and next(items, None) is not None:
+        raise DynamicError(code, message, pos)
+    return first
+
+
+def effective_boolean_value(seq) -> bool:
     """Empty is false; a single atomic follows its kind; anything else errors."""
-    it = seq.iter_items()
-    first = next(it, None)
-    if first is not None and next(it, None) is not None:
-        raise DynamicError("EBV_ERROR", "effective boolean value of a multi-item sequence")
-    return item_ebv(first)
+    message = "effective boolean value of a multi-item sequence"
+    return item_ebv(at_most_one(seq, "EBV_ERROR", message))
 
 
 def item_ebv(item: "Optional[Item]") -> bool:

@@ -2,10 +2,11 @@
 
 Estimators and transformers are looked up by name and handed back as
 function items of signature (object*, object). Applying a transformer (or a
-fitted model) appends its output column(s) to the input frame; calling an
-estimator fits it and returns the model as another function item. Both
-require the input sequence to physically be a frame. One factory,
-`_native_stage`, builds every such item.
+fitted model) appends its output column(s) to the input frame and returns the
+new `Frame`, a `frame`-mode value; calling an estimator fits it and returns
+the model as another function item. Both take the input `Frame` itself: a
+`frame`-mode argument is one, and any other input is `NOT_A_FRAME`. One
+factory, `_native_stage`, builds every such item.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from ..items import (
     FunctionItem,
     ObjectItem,
     SequenceValue,
+    at_most_one,
     atomic_cast,
 )
 from ..runtime import NativeHandle
@@ -167,15 +169,16 @@ def _native_stage(
     what = f"{kind} model" if role == "model" else kind
 
     def invoke(ev, args, pos):
-        if not args[0].is_frame():
+        frame = args[0]
+        if frame.__class__ is not Frame:
             raise DynamicError(
                 "NOT_A_FRAME", f"{what} requires the object sequence to physically be a frame"
             )
-        items = args[1].iter_items()
-        first = next(items, None)
-        if first is None or next(items, None) is not None or not isinstance(first, ObjectItem):
-            raise DynamicError("TYPE_ERROR", f"{kind} expects a single parameter object")
-        return run(ev, args[0].frame, validate_params(kind, first), pos)
+        message = f"{kind} expects a single parameter object"
+        call = at_most_one(args[1], "TYPE_ERROR", message)
+        if not isinstance(call, ObjectItem):
+            raise DynamicError("TYPE_ERROR", message)
+        return run(ev, frame, validate_params(kind, call), pos)
 
     output = "function(object*, object) as object*" if role == "estimator" else "object*"
     return FunctionItem(
@@ -212,7 +215,7 @@ def make_model_item(artifact: ModelArtifact) -> FunctionItem:
     apply = MODEL_APPLY[artifact.kind]
 
     def run(ev, frame, call, pos):
-        return SequenceValue.from_frame(apply(artifact, frame, {**artifact.params, **call}))
+        return apply(artifact, frame, {**artifact.params, **call})
 
     role = "transformer" if artifact.kind in TRANSFORMER_NAMES else "model"
     return _native_stage(role, artifact.kind, run, artifact)
@@ -220,10 +223,9 @@ def make_model_item(artifact: ModelArtifact) -> FunctionItem:
 
 def make_pipeline_model_item(stages: "list[FunctionItem]") -> FunctionItem:
     def run(ev, frame, call, pos):
-        current = SequenceValue.from_frame(frame)
         for i, stage in enumerate(stages):
-            current = _apply_stage(ev, stage, current, i, pos)
-        return current
+            frame = _apply_stage(ev, stage, frame, i, pos)
+        return frame
 
     return _native_stage("model", "Pipeline", run, _pipeline_artifact(stages))
 
@@ -249,16 +251,17 @@ def _pipeline_artifact(stages) -> "ModelArtifact | None":
     return ModelArtifact(kind="Pipeline", params={}, extra={"stages": stage_dicts})
 
 
-def _run_stage(ev, stage: FunctionItem, current: SequenceValue, index: int, pos):
+def _run_stage(ev, stage: FunctionItem, frame: Frame, index: int, pos):
     try:
-        return ev.invoke_function(stage, [current, _EMPTY_PARAMS], pos)
+        return ev.invoke_function(stage, [frame, _EMPTY_PARAMS], pos)
     except DynamicError as err:
         raise DynamicError(err.code, f"stage {index}: {err.message}", err.position) from err
 
 
-def _apply_stage(ev, stage: FunctionItem, current: SequenceValue, index: int, pos):
-    result = _run_stage(ev, stage, current, index, pos)
-    if not result.is_frame():
+def _apply_stage(ev, stage: FunctionItem, frame: Frame, index: int, pos) -> Frame:
+    result = _run_stage(ev, stage, frame, index, pos)
+    # a user-defined stage may return anything
+    if result.__class__ is not Frame:
         raise DynamicError(
             "STAGE_TYPE_ERROR", f"stage {index} did not produce a frame", pos
         )
@@ -269,12 +272,11 @@ def _fit_pipeline(ev, frame: Frame, params: dict, pos) -> FunctionItem:
     stages = require_param("Pipeline", params, "stages")
     if not stages:
         raise DynamicError("STAGE_TYPE_ERROR", "Pipeline requires a nonempty stage list")
-    current = SequenceValue.from_frame(frame)
     fitted: list[FunctionItem] = []
     for i, stage in enumerate(stages):
         if stage.native is not None and stage.native.shape == "estimator":
-            stage = _run_stage(ev, stage, current, i, pos).first()
-        current = _apply_stage(ev, stage, current, i, pos)
+            stage = _run_stage(ev, stage, frame, i, pos).first()
+        frame = _apply_stage(ev, stage, frame, i, pos)
         fitted.append(stage)
     return make_pipeline_model_item(fitted)
 

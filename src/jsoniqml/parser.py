@@ -335,7 +335,11 @@ class _Parser:
         pos = (t.line, t.col)
         if t.type == INTEGER:
             self.advance()
-            return Literal(AtomicValue("integer", int(t.value)), pos=pos)
+            try:
+                value = int(t.value)
+            except ValueError:  # more digits than int() converts
+                raise QueryParseError("PARSE_ERROR", "integer literal too long", pos) from None
+            return Literal(AtomicValue("integer", value), pos=pos)
         if t.type == DECIMAL:
             self.advance()
             return Literal(AtomicValue("decimal", Decimal(t.value)), pos=pos)

@@ -18,13 +18,15 @@ The inferred mode of an iterator decides how its callable runs:
   (volcano-style). Streams are materialized, under the cap, only at binding
   points: `let` clauses, user-function arguments, order-by collection and
   array construction.
-- `frame` returns a `SequenceValue` that is frame-backed when the plan ran
-  columnar; lowered predicates and `where` clauses filter it row by row
-  without leaving the frame.
+- `frame` returns the `Frame` itself: item consumers iterate, count or
+  materialize it like a `SequenceValue`, while lowered predicates, `where`
+  clauses and ML stages take it as it is. A `local-seq` value may be a
+  `Frame` too (a conditional with one frame branch), so only the boundaries
+  where the plan can be wrong check what they got.
 
 The dynamic context is a plain dict from variable name to binding, with the
 predicate context item under `$$`. A `local-one` variable is bound to the bare
-item (or None), any other variable to a `SequenceValue`.
+item (or None), any other variable to a `SequenceValue` or a `Frame`.
 
 A run function whose own body can raise a dynamic error attaches its node's
 position to a position-less one; errors raised later, while a lazy result is
@@ -42,7 +44,7 @@ from typing import Any, Callable, Optional
 
 from .ast_nodes import ForClause, LetClause, OrderByClause, WhereClause
 from .errors import DynamicError, MaterializationCapError
-from .frame import frame_filter
+from .frame import Frame, frame_filter
 from .items import (
     FALSE,
     NULL,
@@ -55,12 +57,13 @@ from .items import (
     NUMERIC_KINDS,
     ObjectItem,
     SequenceValue,
+    at_most_one,
     effective_boolean_value,
     item_ebv,
     render_atomic,
     trusted_atomic,
 )
-from .modes import CompiledTree, FRAME_MODE, LOCAL_ONE, FunctionInfo, RuntimeIterator
+from .modes import CompiledTree, LOCAL_ONE, FunctionInfo, RuntimeIterator
 
 DEFAULT_CAP = 1_000_000
 
@@ -112,12 +115,12 @@ class Evaluator:
             program = self.tree.program = _Program(self.tree, self.catalog)
         return program
 
-    def run(self) -> SequenceValue:
+    def run(self) -> "SequenceValue | Frame":
         program = self.program
         result = program.root(self, {})
         return _box(result) if program.root_one else result
 
-    def evaluate(self, it: RuntimeIterator, ctx: dict) -> SequenceValue:
+    def evaluate(self, it: RuntimeIterator, ctx: dict) -> "SequenceValue | Frame":
         """Evaluate any one iterator of the tree in the context `ctx`; it is
         compiled on the spot, so this is an entry point, not the inner loop."""
         result = _compile(it, self.program)(self, ctx)
@@ -125,7 +128,7 @@ class Evaluator:
 
     # -- function invocation ---------------------------------------------------
 
-    def invoke_function(self, fn: FunctionItem, args: "list[SequenceValue]", pos) -> SequenceValue:
+    def invoke_function(self, fn: FunctionItem, args: list, pos):
         if fn.arity != len(args):
             raise DynamicError(
                 "ARITY_MISMATCH",
@@ -137,7 +140,7 @@ class Evaluator:
         compiled = self.program.functions[fn.body.key]
         ctx = {}
         for name, one, value in zip(compiled.params, compiled.param_ones, args):
-            value = _bind(value, self.cap)
+            value = _bind(value, self.cap, pos)
             ctx[name] = _only(value) if one else value
         result = compiled.run(self, ctx)
         return _box(result) if compiled.one else result
@@ -185,7 +188,7 @@ def _compile(it: RuntimeIterator, program: _Program):
     return _COMPILERS[it.kind](it, program)
 
 
-def _locate(err: DynamicError, pos) -> None:
+def _locate(err: "DynamicError | MaterializationCapError", pos) -> None:
     if err.position is None:
         err.position = pos
 
@@ -201,37 +204,34 @@ def _box(item: Optional[Item]) -> SequenceValue:
     return SequenceValue.single(item)
 
 
-def _bind(seq: SequenceValue, cap: int) -> SequenceValue:
-    """Pin a sequence for (re)use as a variable: frames and singles stay
-    as they are, streams materialize under the cap."""
-    if seq.representation == SequenceValue.STREAM:
-        if not isinstance(seq._payload, list):
-            return SequenceValue.from_list(seq.materialize(cap))
-        if len(seq._payload) > cap:
-            raise MaterializationCapError(cap)
+def _bind(seq, cap: int, pos):
+    """Pin a value for (re)use as a variable: frames and singles stay as
+    they are, streams materialize under the cap. An over-cap stream is
+    reported at `pos`, the binding site."""
+    if seq.__class__ is not Frame and seq.representation == SequenceValue.STREAM:
+        if isinstance(seq._payload, list):
+            if len(seq._payload) > cap:
+                raise MaterializationCapError(cap, pos)
+        else:
+            try:
+                return SequenceValue.from_list(seq.materialize(cap))
+            except MaterializationCapError as err:
+                _locate(err, pos)
+                raise
     return seq
 
 
-def _only(seq: SequenceValue) -> Optional[Item]:
+def _only(seq) -> Optional[Item]:
     """The item of a sequence bound where inference promised at most one."""
-    items = seq.iter_items()
-    first = next(items, None)
-    if first is not None and next(items, None) is not None:
-        raise DynamicError(
-            "MODE_ASSUMPTION_VIOLATED", "a single-item binding received a sequence"
-        )
-    return first
+    return at_most_one(
+        seq, "MODE_ASSUMPTION_VIOLATED", "a single-item binding received a sequence"
+    )
 
 
-def _single_atomic(seq: SequenceValue, what: str) -> Optional[AtomicValue]:
-    """First of at most one item, which must be atomic; None when empty."""
-    items = seq.iter_items()
-    first = next(items, None)
-    if first is None:
-        return None
-    if next(items, None) is not None:
-        raise DynamicError("TYPE_ERROR", f"{what} requires at most one item")
-    return _atomic(first, what)
+def _single_atomic(seq, what: str) -> Optional[AtomicValue]:
+    """The item of at most one, which must be atomic; None when empty."""
+    item = at_most_one(seq, "TYPE_ERROR", f"{what} requires at most one item")
+    return _atomic(item, what)
 
 
 def _atomic(item: Optional[Item], what: str) -> Optional[AtomicValue]:
@@ -562,16 +562,6 @@ def _compile_range(it, program):
 # ---------------------------------------------------------------------------
 
 
-def _object_value(value: SequenceValue, pos) -> Item:
-    items = value.iter_items()
-    first = next(items, None)
-    if first is None:
-        return NULL
-    if next(items, None) is not None:
-        raise DynamicError("TYPE_ERROR", "object value must be a single item", pos)
-    return first
-
-
 def _run_object(plan, ev, ctx):
     pairs, pos = plan
     try:
@@ -585,8 +575,10 @@ def _run_object(plan, ev, ctx):
                 name = atom.value if atom.kind == "string" else render_atomic(atom)
             item = value(ev, ctx)
             if not value_one:
-                item = _object_value(item, value_pos)
-            elif item is None:
+                item = at_most_one(
+                    item, "TYPE_ERROR", "object value must be a single item", value_pos
+                )
+            if item is None:
                 item = NULL
             if duplicate is None and name in out:
                 duplicate = name
@@ -660,7 +652,7 @@ def _run_array(plan, ev, ctx):
         for member, one in members:
             for item in _items(member(ev, ctx), one):
                 if len(out) >= cap:
-                    raise MaterializationCapError(cap)
+                    raise MaterializationCapError(cap, pos)
                 out.append(item)
         return ArrayItem(out)
     except DynamicError as err:
@@ -719,9 +711,11 @@ def _filter_items(ev, ctx: dict, base: SequenceValue, cond, ebv):
             yield item
 
 
-def _frame_where(ev, frame, var: str, cond, ebv, pos) -> SequenceValue:
-    """Filter a frame by a lowered condition, which reads nothing but the row
-    bound to `var`."""
+def _run_frame_where(plan, ev, ctx):
+    """A lowered predicate or `where`: filter the source's frame by a
+    condition that reads nothing but the row bound to `var`."""
+    source, var, cond, ebv, pos = plan
+    frame = source(ev, ctx)
     row_ctx = {}
 
     def row_pred(row):
@@ -729,33 +723,28 @@ def _frame_where(ev, frame, var: str, cond, ebv, pos) -> SequenceValue:
         return ebv(cond(ev, row_ctx))
 
     try:
-        return SequenceValue.from_frame(frame_filter(frame, row_pred))
+        return frame_filter(frame, row_pred)
     except DynamicError as err:
         _locate(err, pos)
         raise
 
 
 def _run_predicate(plan, ev, ctx):
-    base, base_one, cond, ebv, lowered, pos = plan
+    base, base_one, cond, ebv = plan
     value = base(ev, ctx)
     if base_one:
         value = _box(value)
-    if lowered and value.is_frame():
-        return _frame_where(ev, value.frame, _CONTEXT, cond, ebv, pos)
     return SequenceValue.from_iter(_filter_items(ev, ctx, value, cond, ebv))
 
 
 def _compile_predicate(it, program):
     base_it, cond_it = it.children
-    plan = (
-        _compile(base_it, program),
-        base_it.mode == LOCAL_ONE,
-        _compile(cond_it, program),
-        _ebv_reader(cond_it),
-        it.frame_lowered,
-        it.node.pos,
-    )
-    return MethodType(_run_predicate, plan)
+    base = _compile(base_it, program)
+    cond, ebv = _compile(cond_it, program), _ebv_reader(cond_it)
+    if it.frame_lowered:
+        # the base is frame-mode: its value is a Frame
+        return MethodType(_run_frame_where, (base, _CONTEXT, cond, ebv, it.node.pos))
+    return MethodType(_run_predicate, (base, base_it.mode == LOCAL_ONE, cond, ebv))
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +799,7 @@ def _run_user_call(plan, ev, ctx):
             if arg_one:
                 inner[name] = value if param_one else _box(value)
             else:
-                value = _bind(value, ev.cap)
+                value = _bind(value, ev.cap, pos)
                 inner[name] = _only(value) if param_one else value
         return function.run(ev, inner)
     except DynamicError as err:
@@ -856,51 +845,38 @@ def _compile_fnref(it, program):
     return MethodType(_run_builtin_fnref, (program.catalog[target].fn, it, target))
 
 
-def _only_function(seq: SequenceValue):
-    """The single item of a callee sequence, or None when it has not one."""
-    items = seq.iter_items()
-    first = next(items, None)
-    if next(items, None) is not None:
-        return None
-    return first
+_NOT_A_FUNCTION = "dynamic call target is not a single function item"
+_NOT_ONE_RESULT = "call was compiled for a single-item result, got a sequence"
 
 
 def _run_dynamic_call(plan, ev, ctx):
-    callee, callee_one, args, it = plan
-    pos = it.node.pos
+    callee, callee_one, args, assumption, pos = plan
     try:
         target = callee(ev, ctx)
-        fn = target if callee_one else _only_function(target)
-        if fn is None or fn.__class__ is not FunctionItem:
-            raise DynamicError(
-                "NOT_A_FUNCTION", "dynamic call target is not a single function item", pos
-            )
+        if not callee_one:
+            target = at_most_one(target, "NOT_A_FUNCTION", _NOT_A_FUNCTION, pos)
+        if target is None or target.__class__ is not FunctionItem:
+            raise DynamicError("NOT_A_FUNCTION", _NOT_A_FUNCTION, pos)
         values = []
         for arg, arg_one in args:
             value = arg(ev, ctx)
-            values.append(_box(value) if arg_one else _bind(value, ev.cap))
-        result = ev.invoke_function(fn, values, pos)
+            values.append(_box(value) if arg_one else _bind(value, ev.cap, pos))
+        result = ev.invoke_function(target, values, pos)
 
-        if it.call_assumption == "estimator":
-            out = result.iter_items()
-            first = next(out, None)
-            if first is None or next(out, None) is not None:
-                raise DynamicError(
-                    "MODE_ASSUMPTION_VIOLATED",
-                    "call was compiled for a single-item result, got a sequence",
-                    pos,
-                )
-            return first if it.mode == LOCAL_ONE else SequenceValue.single(first)
-        if it.call_assumption == "transformer-frame":
-            if not result.is_frame():
-                raise DynamicError(
-                    "MODE_ASSUMPTION_VIOLATED",
-                    "call was compiled for a frame result, got a local sequence",
-                    pos,
-                )
-            return result
-        if it.mode != FRAME_MODE and result.is_frame():
-            return SequenceValue.from_iter(result.frame.iter_items())
+        if assumption == "estimator":  # local-one: the model item itself
+            model = at_most_one(result, "MODE_ASSUMPTION_VIOLATED", _NOT_ONE_RESULT, pos)
+            if model is None:
+                raise DynamicError("MODE_ASSUMPTION_VIOLATED", _NOT_ONE_RESULT, pos)
+            return model
+        is_frame = result.__class__ is Frame
+        if assumption == "transformer-frame" and not is_frame:
+            raise DynamicError(
+                "MODE_ASSUMPTION_VIOLATED",
+                "call was compiled for a frame result, got a local sequence",
+                pos,
+            )
+        if is_frame and assumption == "general":
+            return SequenceValue.from_iter(result.iter_items())
         return result
     except DynamicError as err:
         _locate(err, pos)
@@ -913,7 +889,8 @@ def _compile_dynamic_call(it, program):
         _compile(callee_it, program),
         callee_it.mode == LOCAL_ONE,
         _children_plan(it.children[1:], program),
-        it,
+        it.call_assumption,
+        it.node.pos,
     )
     return MethodType(_run_dynamic_call, plan)
 
@@ -943,11 +920,11 @@ def _for_tuples(ev, clause, tuples):
 
 
 def _let_tuples(ev, clause, tuples):
-    _, var, value, one = clause
+    _, var, value, one, pos = clause
     for t in tuples:
         bound = value(ev, t)
         inner = t.copy()
-        inner[var] = bound if one else _bind(bound, ev.cap)
+        inner[var] = bound if one else _bind(bound, ev.cap, pos)
         yield inner
 
 
@@ -985,7 +962,7 @@ def _order_tuples(ev, clause, tuples):
     collected = []
     for t in tuples:
         if len(collected) >= ev.cap:
-            raise MaterializationCapError(ev.cap)
+            raise MaterializationCapError(ev.cap, pos)
         value = key(ev, t)
         try:
             atom = key_atom(value, "order-by key")
@@ -1041,7 +1018,7 @@ def _compile_flwor(it, program):
                 )
             )
         elif isinstance(clause, LetClause):
-            clauses.append((_let_tuples, clause.var, run, child.mode == LOCAL_ONE))
+            clauses.append((_let_tuples, clause.var, run, child.mode == LOCAL_ONE, clause.pos))
         elif isinstance(clause, WhereClause):
             clauses.append((_where_tuples, run, _ebv_reader(child)))
         elif isinstance(clause, OrderByClause):
@@ -1059,35 +1036,21 @@ def _compile_flwor(it, program):
     return MethodType(_run_flwor, plan)
 
 
-def _run_flwor_frame(plan, ev, ctx):
-    source, var, cond, ebv, pos = plan
-    try:
-        base = source(ev, ctx)
-        if not base.is_frame():
-            raise DynamicError("NOT_A_FRAME", "frame-lowered FLWOR over a local sequence", pos)
-    except DynamicError as err:
-        _locate(err, pos)
-        raise
-    if cond is None:
-        return base
-    return _frame_where(ev, base.frame, var, cond, ebv, pos)
-
-
 def _compile_flwor_frame(it, program):
     """A single `for` over a frame, an optional row-local `where` and an
-    identity return: the rows are filtered without leaving the frame."""
+    identity return: the rows are filtered without leaving the frame, which
+    is the value of the frame-mode source. Without a `where` the FLWOR is
+    its source."""
     for_clause, source_it = next(
         (c, ch) for c, ch in it.clause_iters if isinstance(c, ForClause)
     )
+    source = _compile(source_it, program)
     wheres = [ch for c, ch in it.clause_iters if isinstance(c, WhereClause)]
-    plan = (
-        _compile(source_it, program),
-        for_clause.var,
-        _compile(wheres[0], program) if wheres else None,
-        _ebv_reader(wheres[0]) if wheres else None,
-        it.node.pos,
-    )
-    return MethodType(_run_flwor_frame, plan)
+    if not wheres:
+        return source
+    where = wheres[0]
+    plan = (source, for_clause.var, _compile(where, program), _ebv_reader(where), it.node.pos)
+    return MethodType(_run_frame_where, plan)
 
 
 _COMPILERS = {

@@ -239,7 +239,7 @@ def test_criterion_4_param_type_table():
     with pytest.raises(DynamicError) as err:
         ev.invoke_function(
             svc,
-            [SequenceValue.from_frame(frame), SequenceValue.single(from_py(1))],
+            [frame, SequenceValue.single(from_py(1))],
             (1, 1),
         )
     assert err.value.code == "TYPE_ERROR"
@@ -291,7 +291,7 @@ def test_criterion_6_naive_bayes_parity():
 
     train = vectors_frame([[1.0, 0.0], [0.0, 1.0]], labels=[0.0, 1.0])
     model = fit(nb, train)
-    out = apply_fn(model, train).frame
+    out = apply_fn(model, train)
     preds = [i.value for i in column_values(out, "prediction")]
     assert preds == [0.0, 1.0]
     report(6, "NEGATIVE_FEATURE raised; one-hot example predicted perfectly")
@@ -371,8 +371,8 @@ def test_criterion_8_round_trips(tmp_path):
     save_model(model, path)
     loaded = load_model(path)
     test_frame = vectors_frame([[0.5, 0.5], [-0.5, -0.5], [3.0, 0.0]])
-    a = [i.value for i in column_values(apply_fn(model, test_frame).frame, "prediction")]
-    b = [i.value for i in column_values(apply_fn(loaded, test_frame).frame, "prediction")]
+    a = [i.value for i in column_values(apply_fn(model, test_frame), "prediction")]
+    b = [i.value for i in column_values(apply_fn(loaded, test_frame), "prediction")]
     assert a == b
     report(8, "item/frame/model round trips exact")
 

@@ -4,6 +4,7 @@ from hypothesis import given
 
 from jsoniqml.engine import run_query, run_query_lines
 from jsoniqml.errors import DynamicError, SourceIOError
+from jsoniqml.frame import Frame
 
 MESSY_FIRST_LINE = (
     "animal:0.7420,outdoor:0.9710,pet:0.6130,white:0.6790 -4.893 -3.803 -25.799 "
@@ -137,9 +138,8 @@ class TestConvertTwoMessyRows:
         path = tmp_path / "messy.txt"
         path.write_text(self.MESSY)
         compiled = compile_query(self.CONVERT)
-        result = evaluate_query(compiled, {"input": str(path)})
-        assert result.is_frame()
-        frame = result.frame
+        frame = evaluate_query(compiled, {"input": str(path)})
+        assert isinstance(frame, Frame)
         assert frame.nrows == 2
         names = dict(frame.type.fields)
         assert names["label"].kind == "String"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from jsoniqml.errors import DynamicError
+from jsoniqml.errors import DynamicError, MaterializationCapError
 from jsoniqml.frame import annotate_rows, frame_filter, make_builder
 from jsoniqml.items import AtomicValue, ArrayItem, deep_equal, from_py
 from jsoniqml.schema import FrameColumnType, parse_schema, validate_item
@@ -179,10 +179,13 @@ class TestAddProjectCount:
 class TestSequenceEquivalence:
     def test_stream_of_frame_matches_rows(self):
         frame = small_frame()
-        from jsoniqml.items import SequenceValue
-
-        via_seq = list(SequenceValue.from_frame(frame).iter_items())
-        via_stream = list(frame.iter_items())
-        assert len(via_seq) == len(via_stream)
-        for a, b in zip(via_seq, via_stream):
-            assert deep_equal(a, b)
+        rows = [frame.row_item(i) for i in range(frame.nrows)]
+        assert frame.count() == len(rows)
+        for cap in (frame.nrows, frame.nrows + 1):
+            via_materialize = frame.materialize(cap)
+            assert len(via_materialize) == len(rows)
+            for a, b in zip(via_materialize, rows):
+                assert deep_equal(a, b)
+        with pytest.raises(MaterializationCapError) as err:
+            frame.materialize(frame.nrows - 1)
+        assert err.value.cap == frame.nrows - 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from jsoniqml import lexer
+from jsoniqml import lexer, run_query
 from jsoniqml.ast_nodes import (
     FLWOR,
     Expr,
@@ -27,6 +27,7 @@ from jsoniqml.ast_nodes import (
 )
 from jsoniqml.errors import QueryParseError
 from jsoniqml.items import AtomicValue
+from jsoniqml.modes import POLICIES
 from jsoniqml.parser import parse, parse_expr_text
 from jsoniqml.printer import print_module
 from jsoniqml.runtime import _COMPILERS
@@ -150,6 +151,14 @@ class TestParser:
     def test_dangling_operator(self):
         with pytest.raises(QueryParseError):
             parse_expr_text("1 +")
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_integer_literal_too_long(self, policy):
+        # int() refuses more than 4300 digits; the literal is a parse error
+        with pytest.raises(QueryParseError) as err:
+            run_query("1 +\n " + "1" * 5000, policy=policy)
+        assert (err.value.code, err.value.position) == ("PARSE_ERROR", (2, 2))
+        assert err.value.message == "integer literal too long"
 
 
 def _strip(node):

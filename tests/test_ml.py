@@ -33,7 +33,7 @@ def estimator(name, params_py):
 
 def apply_fn(fn, frame, params_py=None):
     ev = make_evaluator()
-    args = [SequenceValue.from_frame(frame), SequenceValue.single(from_py(params_py or {}))]
+    args = [frame, SequenceValue.single(from_py(params_py or {}))]
     return ev.invoke_function(fn, args, (1, 1))
 
 
@@ -68,7 +68,7 @@ class TestRegistryLookup:
     def test_tokenizer_defaults_supplied_at_call_time(self):
         fn = transformer("Tokenizer", {})
         frame = make_frame([{"text": "Hi I heard"}], {"text": "string"})
-        out = apply_fn(fn, frame, {"inputCol": "text", "outputCol": "tokens"}).frame
+        out = apply_fn(fn, frame, {"inputCol": "text", "outputCol": "tokens"})
         assert deep_equal(out.row_item(0).pairs["tokens"], from_py(["hi", "i", "heard"]))
 
     def test_unknown_transformer(self):
@@ -166,7 +166,7 @@ class TestTokenizer:
             [{"text": "Hi I heard"}, {"text": ""}, {"text": "  spaced\tout  "}],
             {"text": "string"},
         )
-        out = apply_fn(fn, frame).frame
+        out = apply_fn(fn, frame)
         expected = [["hi", "i", "heard"], [], ["spaced", "out"]]
         for i, exp in enumerate(expected):
             assert deep_equal(out.row_item(i).pairs["tokens"], from_py(exp))
@@ -175,7 +175,7 @@ class TestTokenizer:
         texts = ["Hi I heard", "A  B", "", "one"]
         fn = transformer("Tokenizer", {"inputCol": "t", "outputCol": "tok"})
         frame = make_frame([{"t": t} for t in texts], {"t": "string"})
-        out = apply_fn(fn, frame).frame
+        out = apply_fn(fn, frame)
         for i, text in enumerate(texts):
             assert deep_equal(out.row_item(i).pairs["tok"], from_py(text.lower().split()))
 
@@ -198,7 +198,7 @@ class TestTokenizer:
         fn = transformer("Tokenizer", {"inputCol": "t", "outputCol": "tok"})
         frame = make_frame([{"t": "a b"}], {"t": "string"})
         before = [list(o.pairs) for o in frame.iter_items()]
-        out = apply_fn(fn, frame).frame
+        out = apply_fn(fn, frame)
         after = [list(o.pairs) for o in frame.iter_items()]
         assert before == after
         assert [name for name, _ in out.type.fields] == ["t", "tok"]
@@ -211,7 +211,7 @@ class TestVectorAssembler:
             [{"features": {"1": 1.5, "2": 2.5, "3": -1.0}}],
             {"features": {"1": "double", "2": "double", "3": "double"}},
         )
-        out = apply_fn(fn, frame).frame
+        out = apply_fn(fn, frame)
         assert deep_equal(out.row_item(0).pairs["fv"], from_py([1.5, 2.5, -1.0]))
 
     def test_scalar_and_vector_concatenation(self):
@@ -220,13 +220,13 @@ class TestVectorAssembler:
             [{"x": 1.0, "v": [2.0, 3.0]}, {"x": 4.0, "v": [5.0, 6.0]}],
             {"x": "double", "v": ["double"]},
         )
-        out = apply_fn(fn, frame).frame
+        out = apply_fn(fn, frame)
         assert deep_equal(out.row_item(1).pairs["fv"], from_py([4.0, 5.0, 6.0]))
 
     def test_integer_scalar_widens(self):
         fn = transformer("VectorAssembler", {"inputCols": ["k"], "outputCol": "fv"})
         frame = make_frame([{"k": 3}], {"k": "int"})
-        out = apply_fn(fn, frame).frame
+        out = apply_fn(fn, frame)
         assert deep_equal(out.row_item(0).pairs["fv"], from_py([3.0]))
 
     def test_string_column_rejected(self):
@@ -249,7 +249,7 @@ class TestVectorAssembler:
             [{"x": 9.0, "features": [1.0]}, {"x": 8.0, "features": [2.0, 3.0]}],
             {"x": "double", "features": ["double"]},
         )
-        out = apply_fn(fn, frame).frame
+        out = apply_fn(fn, frame)
         assert deep_equal(out.row_item(0).pairs["fv"], from_py([9.0, 1.0]))
         assert deep_equal(out.row_item(1).pairs["fv"], from_py([8.0, 2.0, 3.0]))
 
@@ -260,7 +260,7 @@ class TestVectorSlicer:
             "VectorSlicer", {"inputCol": "features", "outputCol": "s", "indices": [2, 0]}
         )
         frame = vectors_frame([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        out = apply_fn(fn, frame).frame
+        out = apply_fn(fn, frame)
         assert deep_equal(out.row_item(0).pairs["s"], from_py([3.0, 1.0]))
 
     def test_out_of_range_index(self):
@@ -279,7 +279,7 @@ class TestMaxAbsScaler:
         train = vectors_frame([[2.0, -4.0], [1.0, 2.0]])
         model = fit(fn, train)
         assert model.native.artifact.extra["maxAbs"] == [2.0, 4.0]
-        out = apply_fn(model, train).frame
+        out = apply_fn(model, train)
         assert deep_equal(out.row_item(0).pairs["scaled"], from_py([1.0, -1.0]))
         assert deep_equal(out.row_item(1).pairs["scaled"], from_py([0.5, 0.5]))
 
@@ -287,7 +287,7 @@ class TestMaxAbsScaler:
         fn = estimator("MaxAbsScaler", {})
         train = vectors_frame([[0.0, 1.0], [0.0, -2.0]])
         model = fit(fn, train)
-        out = apply_fn(model, train).frame
+        out = apply_fn(model, train)
         assert deep_equal(out.row_item(0).pairs["scaledFeatures"], from_py([0.0, 0.5]))
 
     def test_empty_training_set(self):
@@ -302,7 +302,7 @@ class TestMaxAbsScaler:
         fn = estimator("MaxAbsScaler", {})
         train = vectors_frame(X.tolist())
         model = fit(fn, train)
-        out = apply_fn(model, train).frame
+        out = apply_fn(model, train)
         col = out.column("scaledFeatures")
         scaled = col.flat.values.reshape(20, 4)
         assert np.all(np.abs(scaled) <= 1.0 + 1e-12)
@@ -325,7 +325,7 @@ class TestLogisticRegression:
         model = fit(fn, train)
         w = model.native.artifact.weights[0]
         assert w > 0
-        out = apply_fn(model, train).frame
+        out = apply_fn(model, train)
         preds = [item.value for item in column_values(out, "prediction")]
         assert preds == [0.0, 1.0]
 
@@ -341,7 +341,7 @@ class TestLogisticRegression:
         train = vectors_frame([[-1.0], [1.0]], labels=[0.0, 1.0])
         model = fit(fn, train)
         assert model.native.artifact.weights == [0.0]
-        out = apply_fn(model, train).frame
+        out = apply_fn(model, train)
         assert [i.value for i in column_values(out, "prediction")] == [1.0, 1.0]
 
     def test_bad_label(self):
@@ -364,7 +364,7 @@ class TestLogisticRegression:
         train = vectors_frame([[-1.0], [1.0]], labels=[0.0, 1.0])
         fn = estimator("LogisticRegression", {"maxIter": 20, "stepSize": 1.0})
         model = fit(fn, train)
-        skewed = apply_fn(model, train, {"thresholds": [0.001, 0.999]}).frame
+        skewed = apply_fn(model, train, {"thresholds": [0.001, 0.999]})
         preds = [i.value for i in column_values(skewed, "prediction")]
         assert preds == [0.0, 0.0]
 
@@ -485,7 +485,7 @@ class TestNaiveBayes:
         # hand-computed with s=1, d=2: theta_0 = log(2/3), log(1/3)
         assert theta[0][0] == pytest.approx(math.log(2 / 3))
         assert theta[0][1] == pytest.approx(math.log(1 / 3))
-        out = apply_fn(model, train).frame
+        out = apply_fn(model, train)
         preds = [i.value for i in column_values(out, "prediction")]
         assert preds == [0.0, 1.0]
 
@@ -503,14 +503,14 @@ class TestNaiveBayes:
         fn = estimator("NaiveBayes", {})
         train = vectors_frame([[1.0], [2.0]], labels=[1.0, 1.0])
         model = fit(fn, train)
-        out = apply_fn(model, vectors_frame([[5.0]])).frame
+        out = apply_fn(model, vectors_frame([[5.0]]))
         assert column_values(out, "prediction")[0].value == 1.0
 
     def test_tie_breaks_to_lowest_class(self):
         fn = estimator("NaiveBayes", {"smoothing": 1.0})
         train = vectors_frame([[1.0], [1.0]], labels=[0.0, 1.0])
         model = fit(fn, train)
-        out = apply_fn(model, vectors_frame([[1.0]])).frame
+        out = apply_fn(model, vectors_frame([[1.0]]))
         assert column_values(out, "prediction")[0].value == 0.0
 
     def test_fractional_label_rejected(self):
@@ -554,9 +554,9 @@ class TestPipeline:
         ev = make_evaluator()
         stage_params = SequenceValue.single(ObjectItem({"stages": ArrayItem([va, svc])}))
         model = ev.invoke_function(
-            pipe, [SequenceValue.from_frame(frame), stage_params], (1, 1)
+            pipe, [frame, stage_params], (1, 1)
         ).first()
-        out = apply_fn(model, frame).frame
+        out = apply_fn(model, frame)
         assert [name for name, _ in out.type.fields] == ["label", "features", "fv", "prediction"]
         assert [i.value for i in column_values(out, "prediction")] == [0.0, 1.0]
 
@@ -569,11 +569,11 @@ class TestPipeline:
         ev = make_evaluator()
         model = ev.invoke_function(
             pipe,
-            [SequenceValue.from_frame(frame), SequenceValue.single(ObjectItem({"stages": ArrayItem([tok])}))],
+            [frame, SequenceValue.single(ObjectItem({"stages": ArrayItem([tok])}))],
             (1, 1),
         ).first()
-        via_pipe = apply_fn(model, frame).frame
-        direct = apply_fn(tok, frame).frame
+        via_pipe = apply_fn(model, frame)
+        direct = apply_fn(tok, frame)
         for a, b in zip(via_pipe.iter_items(), direct.iter_items()):
             assert deep_equal(a, b)
 
@@ -595,7 +595,7 @@ class TestPipeline:
             ev.invoke_function(
                 pipe,
                 [
-                    SequenceValue.from_frame(frame),
+                    frame,
                     SequenceValue.single(ObjectItem({"stages": ArrayItem([bad])})),
                 ],
                 (1, 1),
@@ -639,17 +639,17 @@ class TestPipeline:
         model = ev.invoke_function(
             pipe,
             [
-                SequenceValue.from_frame(train),
+                train,
                 SequenceValue.single(ObjectItem({"stages": ArrayItem([scaler, svc])})),
             ],
             (1, 1),
         ).first()
-        via_pipeline = apply_fn(model, train).frame
+        via_pipeline = apply_fn(model, train)
 
         scaler_model = fit(scaler, train)
-        step1 = apply_fn(scaler_model, train).frame
+        step1 = apply_fn(scaler_model, train)
         svc_model = fit(svc, step1)
-        sequential = apply_fn(svc_model, step1).frame
+        sequential = apply_fn(svc_model, step1)
         for a, b in zip(
             via_pipeline.iter_items(), sequential.iter_items()
         ):
@@ -660,15 +660,15 @@ class TestEmptyFrames:
     def test_transformers_accept_zero_rows(self):
         frame = make_frame([], {"t": "string", "features": ["double"]})
         tok = transformer("Tokenizer", {"inputCol": "t", "outputCol": "tok"})
-        assert apply_fn(tok, frame).frame.nrows == 0
+        assert apply_fn(tok, frame).nrows == 0
         va = transformer("VectorAssembler", {"inputCols": ["features"], "outputCol": "fv"})
-        assert apply_fn(va, frame).frame.nrows == 0
+        assert apply_fn(va, frame).nrows == 0
 
     def test_model_predicts_zero_rows(self):
         fn = estimator("LinearSVC", {"maxIter": 1})
         model = fit(fn, vectors_frame([[1.0, 2.0]], labels=[1.0]))
         empty = vectors_frame([])
-        out = apply_fn(model, empty).frame
+        out = apply_fn(model, empty)
         assert out.nrows == 0
         assert "prediction" in dict(out.type.fields)
 
@@ -692,7 +692,7 @@ class TestPredictionKindMirrorsLabel:
             {"label": "string", "features": ["double"]},
         )
         model = fit(fn, frame)
-        out = apply_fn(model, frame).frame
+        out = apply_fn(model, frame)
         preds = column_values(out, "prediction")
         assert [p.kind for p in preds] == ["string", "string"]
         assert [p.value for p in preds] == ["0", "1"]
@@ -704,5 +704,5 @@ class TestPredictionKindMirrorsLabel:
             {"label": "int", "features": ["double"]},
         )
         model = fit(fn, frame)
-        preds = column_values(apply_fn(model, frame).frame, "prediction")
+        preds = column_values(apply_fn(model, frame), "prediction")
         assert [p.kind for p in preds] == ["int", "int"]

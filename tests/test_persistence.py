@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from jsoniqml.errors import DynamicError, EngineError
+from jsoniqml.frame import Frame
 from jsoniqml.items import AtomicValue, deep_equal, from_py
 from jsoniqml.ml.persistence import _item_from_dict, load_model, save_model
 from jsoniqml.ml.registry import artifact_to_dict, get_estimator, get_transformer
@@ -25,8 +26,8 @@ class TestSaveLoad:
         path = tmp_path / "svc.json"
         save_model(model, path)
         loaded = load_model(path)
-        original = [i.value for i in column_values(apply_fn(model, train).frame, "prediction")]
-        reloaded = [i.value for i in column_values(apply_fn(loaded, train).frame, "prediction")]
+        original = [i.value for i in column_values(apply_fn(model, train), "prediction")]
+        reloaded = [i.value for i in column_values(apply_fn(loaded, train), "prediction")]
         assert original == reloaded
 
     def test_frozen_key_names(self, tmp_path):
@@ -68,14 +69,14 @@ class TestSaveLoad:
         ev = make_evaluator()
         model = ev.invoke_function(
             pipe,
-            [SequenceValue.from_frame(frame), SequenceValue.single(ObjectItem({}))],
+            [frame, SequenceValue.single(ObjectItem({}))],
             (1, 1),
         ).first()
         path = tmp_path / "pipe.json"
         save_model(model, path)
         loaded = load_model(path)
-        out_a = apply_fn(model, frame).frame
-        out_b = apply_fn(loaded, frame).frame
+        out_a = apply_fn(model, frame)
+        out_b = apply_fn(loaded, frame)
         for a, b in zip(out_a.iter_items(), out_b.iter_items()):
             assert deep_equal(a, b)
 
@@ -86,8 +87,8 @@ class TestSaveLoad:
         path = tmp_path / "nb.json"
         save_model(model, path)
         loaded = load_model(path)
-        a = [i.value for i in column_values(apply_fn(model, train).frame, "prediction")]
-        b = [i.value for i in column_values(apply_fn(loaded, train).frame, "prediction")]
+        a = [i.value for i in column_values(apply_fn(model, train), "prediction")]
+        b = [i.value for i in column_values(apply_fn(loaded, train), "prediction")]
         assert a == b
 
     def test_unknown_kind_rejected(self, tmp_path):
@@ -141,7 +142,7 @@ class TestPipelineDocument:
         )
         model = make_evaluator().invoke_function(
             pipe,
-            [SequenceValue.from_frame(frame), SequenceValue.single(ObjectItem({}))],
+            [frame, SequenceValue.single(ObjectItem({}))],
             (1, 1),
         ).first()
         path = tmp_path / "pipe.json"
@@ -241,7 +242,7 @@ class TestMalformedDocuments:
 
     def test_saved_documents_load_and_apply(self):
         for text in saved_documents():
-            assert load_and_apply(json.loads(text)).is_frame()
+            assert isinstance(load_and_apply(json.loads(text)), Frame)
 
     @pytest.mark.parametrize(
         "edit",

@@ -5,6 +5,7 @@ import pytest
 from jsoniqml.engine import run_query, run_query_lines
 from jsoniqml.errors import DynamicError, MaterializationCapError
 from jsoniqml.items import AtomicValue
+from jsoniqml.modes import POLICIES
 
 MESSY_FIRST_LINE = (
     "animal:0.7420,outdoor:0.9710,pet:0.6130,white:0.6790 -4.893 -3.803 -25.799"
@@ -182,6 +183,27 @@ class TestMaterialization:
         assert run_query_lines(query, cap=50) == ["200"]
         with pytest.raises(MaterializationCapError):
             run_query_lines(query, policy="force-local", cap=50)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize(
+        "query,position",
+        [
+            # the binding site: let clause, array constructor, order by, call
+            ("let $x := 1 to 20 return count($x)", (1, 1)),
+            ("count([1 to 20])", (1, 7)),
+            ("count(for $i in 1 to 20 order by $i return $i)", (1, 25)),
+            ("declare function local:f($x) { count($x) }; local:f(1 to 20)", (1, 45)),
+            # a top-level result has no binding site
+            ("1 to 20", None),
+            ('annotate(for $i in 1 to 20 return { "a" : $i }, { "a" : "int" })', None),
+        ],
+    )
+    def test_over_cap_position(self, query, position, policy):
+        with pytest.raises(MaterializationCapError) as err:
+            run_query(query, policy=policy, cap=10)
+        assert (err.value.code, err.value.position) == ("MATERIALIZATION_CAP_EXCEEDED", position)
+        assert err.value.message == "sequence exceeded the materialization cap of 10 items"
+        assert err.value.exit_code == 5
 
 
 class TestLookupSemantics:
