@@ -9,10 +9,14 @@ the stream of their row objects: a top-level frame is the value of every
 `frame`-mode iterator, and answers the sequence calls (`iter_items`, `count`,
 `materialize`) that item consumers make.
 
-`annotate` has one row loop, `validated_rows`: it checks each row against
-the frame type the schema parses to, through `validate_item`. Local mode
-streams its output; `annotate_rows` transposes it into column builders,
-which append without checking again.
+Both forms of `annotate` check rows against the record type the schema
+parses to. Local mode streams `validated_rows`, which builds each validated
+row through `validate_item`. Frame mode, `annotate_rows`, is a sink: each
+column builder's `put` checks one value (field count, names and kinds, in
+schema order) and casts it straight into the column's payload buffer, so no
+atom, object or array is built. A row a builder rejects is validated again
+by `validate_item`, so every error, with its `row i:` prefix and its path,
+is the validator's.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import DynamicError, MaterializationCapError
-from .items import ArrayItem, AtomicValue, Item, ObjectItem
+from .items import ArrayItem, AtomicValue, Item, ObjectItem, cast_value
 from .schema import FRAME_TO_ATOMIC, FrameColumnType, parse_schema, validate_item
 
 _NUMPY_SCALAR = {
@@ -95,15 +99,13 @@ class ArrayColumn:
         return ArrayItem([self.flat.item_at(j) for j in range(lo, hi)])
 
     def take(self, indices: np.ndarray) -> "ArrayColumn":
-        lengths = self.offsets[indices + 1] - self.offsets[indices]
+        starts = self.offsets[indices]
+        lengths = self.offsets[indices + 1] - starts
         new_offsets = np.zeros(len(indices) + 1, dtype=np.int64)
         np.cumsum(lengths, out=new_offsets[1:])
-        if len(indices):
-            flat_idx = np.concatenate(
-                [np.arange(self.offsets[i], self.offsets[i + 1]) for i in indices]
-            )
-        else:
-            flat_idx = np.zeros(0, dtype=np.int64)
+        # member j of taken row r sits at starts[r] + (j - new_offsets[r])
+        shift = np.repeat(starts - new_offsets[:-1], lengths)
+        flat_idx = np.arange(new_offsets[-1], dtype=np.int64) + shift
         return ArrayColumn(self.type, new_offsets, self.flat.take(flat_idx))
 
 
@@ -161,19 +163,28 @@ class Frame:
 
 
 # ---------------------------------------------------------------------------
-# Builders: they append rows that `validate_item` has already checked, so
-# they check nothing themselves.
+# Builders: `put` checks one value against the builder's type and appends
+# its payload, cast to the declared kind; it returns False, possibly after
+# appending part of the value, where `validate_item` would raise. Then the
+# caller gives up the build and asks the validator for the error.
 # ---------------------------------------------------------------------------
 
 
 class _ScalarBuilder:
     def __init__(self, ctype: FrameColumnType):
         self.ctype = ctype
+        self.target = FRAME_TO_ATOMIC[ctype.kind]
         typecode = _ARRAY_TYPECODE.get(ctype.kind)
         self.values = [] if typecode is None else array(typecode)
 
-    def append(self, item: Item):
-        self.values.append(item.value)
+    def put(self, item: Item) -> bool:
+        if item.__class__ is not AtomicValue:
+            return False
+        try:
+            self.values.append(cast_value(item.kind, item.value, self.target))
+        except DynamicError:
+            return False
+        return True
 
     def finish(self) -> ScalarColumn:
         if self.ctype.kind == "Null":
@@ -190,10 +201,15 @@ class _ArrayBuilder:
         self.flat = make_builder(ctype.member)
         self.offsets = [0]
 
-    def append(self, item: Item):
+    def put(self, item: Item) -> bool:
+        if item.__class__ is not ArrayItem:
+            return False
+        put = self.flat.put
         for member in item.members:
-            self.flat.append(member)
+            if not put(member):
+                return False
         self.offsets.append(self.offsets[-1] + len(item.members))
+        return True
 
     def finish(self) -> ArrayColumn:
         return ArrayColumn(
@@ -205,13 +221,22 @@ class _RecordBuilder:
     def __init__(self, ctype: FrameColumnType):
         self.ctype = ctype
         self.children = [(name, make_builder(t)) for name, t in ctype.fields]
+        self.puts = tuple([(name, builder.put) for name, builder in self.children])
         self.count = 0
 
-    def append(self, item: Item):
+    def put(self, item: Item) -> bool:
+        # exactly the declared fields: as many as declared, each of them present
+        if item.__class__ is not ObjectItem:
+            return False
         pairs = item.pairs
-        for name, builder in self.children:
-            builder.append(pairs[name])
+        if len(pairs) != len(self.puts):
+            return False
+        for name, put in self.puts:
+            value = pairs.get(name)
+            if value is None or not put(value):
+                return False
         self.count += 1
+        return True
 
     def finish(self) -> Frame:
         return Frame(self.ctype, [(n, b.finish()) for n, b in self.children], self.count)
@@ -238,35 +263,41 @@ def annotate_schema(descriptor: Item) -> FrameColumnType:
     return record
 
 
+def _validated_row(i: int, row: Item, record: FrameColumnType, pos) -> ObjectItem:
+    """Row `i` validated against the record type; failures carry the row
+    index and the source position `pos`."""
+    if not isinstance(row, ObjectItem):
+        raise DynamicError(
+            "NON_OBJECT_ROW", f"row {i} is not an object ({type(row).__name__})", pos
+        )
+    try:
+        return validate_item(row, record)
+    except DynamicError as err:
+        raise DynamicError(err.code, f"row {i}: {err.message}", pos) from err
+
+
 def validated_rows(
     rows: "Iterable[Item]", record: FrameColumnType, pos=None
 ) -> "Iterator[ObjectItem]":
-    """Validate each row against the record type, lazily, one at a time.
-
-    Failures carry the 0-based row index and the source position `pos`.
-    """
+    """Validate each row against the record type, lazily, one at a time."""
     for i, row in enumerate(rows):
-        if not isinstance(row, ObjectItem):
-            raise DynamicError(
-                "NON_OBJECT_ROW", f"row {i} is not an object ({type(row).__name__})", pos
-            )
-        try:
-            validated = validate_item(row, record)
-        except DynamicError as err:
-            raise DynamicError(err.code, f"row {i}: {err.message}", pos) from err
-        yield validated
+        yield _validated_row(i, row, record, pos)
 
 
 def annotate_rows(rows: "Iterable[Item]", descriptor: Item) -> Frame:
     """Validate each row against the descriptor and store columnar.
 
-    Rows are consumed one at a time and go straight into column builders, so
-    the item sequence is never materialized.
+    Rows are consumed one at a time and cast straight into column builders,
+    so neither the item sequence nor a validated row is ever built. A row
+    the builders reject is validated again, to raise the validator's error.
     """
     record = annotate_schema(descriptor)
     builder = _RecordBuilder(record)
-    for row in validated_rows(rows, record):
-        builder.append(row)
+    put = builder.put
+    for i, row in enumerate(rows):
+        if not put(row):
+            _validated_row(i, row, record, None)
+            raise AssertionError(f"row {i}: the column builders rejected a valid row")
     return builder.finish()
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 import struct
+import sys
 from dataclasses import dataclass
 from datetime import date, datetime
 from decimal import Decimal
@@ -54,8 +55,20 @@ _INT_BOUNDS = {
 
 
 def _f32(value: float) -> float:
-    """Round a double to 32-bit float precision."""
-    return struct.unpack("<f", struct.pack("<f", value))[0]
+    """Round a double to 32-bit float precision; beyond the float range the
+    rounding overflows to an infinity, as IEEE 754 rounds."""
+    try:
+        return struct.unpack("<f", struct.pack("<f", value))[0]
+    except OverflowError:  # raised exactly when the rounded value is infinite
+        return math.copysign(math.inf, value)
+
+
+def _to_double(value) -> float:
+    """A number as a double; an integer beyond the double range is infinite."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -117,6 +130,11 @@ def trusted_atomic(kind: str, value: Any) -> AtomicValue:
 NULL = AtomicValue("null", None)
 TRUE = AtomicValue("boolean", True)
 FALSE = AtomicValue("boolean", False)
+
+# `for ... at $p` binds these shared atoms for the positions they cover,
+# instead of building one atom per item
+SHARED_POSITIONS = 1024
+POSITIONS = tuple([trusted_atomic("integer", i) for i in range(SHARED_POSITIONS)])
 
 
 @dataclass
@@ -313,7 +331,10 @@ def render_atomic(av: AtomicValue) -> str:
     if kind == "null":
         return "null"
     if kind in INTEGER_KINDS:
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # more digits than str() renders; Decimal has no limit
+            return format(Decimal(value), "f")
     if kind in ("double", "float"):
         return render_double(value)
     if kind == "decimal":
@@ -576,15 +597,25 @@ def _cast_error(code: str, msg: str):
 
 def _parse_double(text: str) -> float:
     t = text.strip()
+    if _DOUBLE_RE.fullmatch(t):
+        return float(t)
     if t == "NaN":
         return float("nan")
     if t == "INF":
         return float("inf")
     if t == "-INF":
         return float("-inf")
-    if not _DOUBLE_RE.fullmatch(t):
-        _cast_error("LEXICAL_ERROR", f"cannot parse {text!r} as double")
-    return float(t)
+    _cast_error("LEXICAL_ERROR", f"cannot parse {text!r} as double")
+
+
+def _parse_integer(text: str, target_kind: str) -> int:
+    t = text.strip()
+    if not _INTEGER_RE.fullmatch(t):
+        _cast_error("LEXICAL_ERROR", f"cannot parse {text!r} as {target_kind}")
+    try:
+        return int(t)
+    except ValueError:  # more digits than int() converts; Decimal has no limit
+        return int(Decimal(t))
 
 
 def _to_int(value, target_kind: str) -> int:
@@ -598,84 +629,92 @@ def _to_int(value, target_kind: str) -> int:
         result = int(value)
     bounds = _INT_BOUNDS.get(target_kind)
     if bounds is not None and not bounds[0] <= result <= bounds[1]:
-        _cast_error("RANGE_ERROR", f"{result} out of range for {target_kind}")
+        try:
+            text = str(result)
+        except ValueError:  # too many digits for str(): the number is not rendered
+            text = f"an integer of more than {sys.get_int_max_str_digits()} digits"
+        _cast_error("RANGE_ERROR", f"{text} out of range for {target_kind}")
     return result
 
 
-def atomic_cast(av: AtomicValue, target_kind: str) -> AtomicValue:
-    """Cast between atomic kinds per the engine's cast table.
+def cast_value(kind: str, value, target_kind: str):
+    """The payload of casting an atomic of `kind` and payload `value` to
+    `target_kind`, a kind in ATOMIC_KINDS, per the engine's cast table.
 
     Supported routes: identity, numeric widening/narrowing, string to and
     from numbers, booleans, and ISO-8601 dates. Anything else is NO_CAST_RULE.
     """
-    if target_kind not in ATOMIC_KINDS:
-        raise DynamicError("NO_CAST_RULE", f"unknown target kind {target_kind!r}")
-    kind = av.kind
     if kind == target_kind:
-        return av
+        return value
     if kind == "null" or target_kind == "null":
         _cast_error("NO_CAST_RULE", f"no cast from {kind} to {target_kind}")
 
-    if kind in NUMERIC_KINDS:
-        if target_kind in INTEGER_KINDS:
-            return AtomicValue(target_kind, _to_int(av.value, target_kind))
-        if target_kind == "double":
-            return AtomicValue("double", float(av.value))
-        if target_kind == "float":
-            return AtomicValue("float", _f32(float(av.value)))
-        if target_kind == "decimal":
-            v = av.value
-            if isinstance(v, float):
-                if math.isnan(v) or math.isinf(v):
-                    _cast_error("RANGE_ERROR", f"cannot cast {v} to decimal")
-                return AtomicValue("decimal", Decimal(repr(v)))
-            return AtomicValue("decimal", Decimal(v))
-        if target_kind == "string":
-            return AtomicValue("string", render_atomic(av))
-        _cast_error("NO_CAST_RULE", f"no cast from {kind} to {target_kind}")
-
     if kind == "string":
-        text = av.value
         if target_kind == "double":
-            return AtomicValue("double", _parse_double(text))
+            return _parse_double(value)
         if target_kind == "float":
-            return AtomicValue("float", _f32(_parse_double(text)))
+            return _f32(_parse_double(value))
         if target_kind == "decimal":
-            t = text.strip()
+            t = value.strip()
             if not _DECIMAL_RE.fullmatch(t):
-                _cast_error("LEXICAL_ERROR", f"cannot parse {text!r} as decimal")
-            return AtomicValue("decimal", Decimal(t))
+                _cast_error("LEXICAL_ERROR", f"cannot parse {value!r} as decimal")
+            return Decimal(t)
         if target_kind in INTEGER_KINDS:
-            t = text.strip()
-            if not _INTEGER_RE.fullmatch(t):
-                _cast_error("LEXICAL_ERROR", f"cannot parse {text!r} as {target_kind}")
-            return AtomicValue(target_kind, _to_int(int(t), target_kind))
+            return _to_int(_parse_integer(value, target_kind), target_kind)
         if target_kind == "boolean":
-            t = text.strip()
+            t = value.strip()
             if t in ("true", "1"):
-                return TRUE
+                return True
             if t in ("false", "0"):
-                return FALSE
-            _cast_error("LEXICAL_ERROR", f"cannot parse {text!r} as boolean")
+                return False
+            _cast_error("LEXICAL_ERROR", f"cannot parse {value!r} as boolean")
         if target_kind == "date":
             try:
-                return AtomicValue("date", date.fromisoformat(text.strip()))
+                return date.fromisoformat(value.strip())
             except ValueError:
-                _cast_error("LEXICAL_ERROR", f"cannot parse {text!r} as date")
+                _cast_error("LEXICAL_ERROR", f"cannot parse {value!r} as date")
         if target_kind == "dateTime":
             try:
-                parsed = datetime.fromisoformat(text.strip())
+                parsed = datetime.fromisoformat(value.strip())
             except ValueError:
-                _cast_error("LEXICAL_ERROR", f"cannot parse {text!r} as dateTime")
+                _cast_error("LEXICAL_ERROR", f"cannot parse {value!r} as dateTime")
             if parsed.tzinfo is not None:
                 _cast_error("LEXICAL_ERROR", "timezones are unsupported")
-            return AtomicValue("dateTime", parsed)
+            return parsed
         _cast_error("NO_CAST_RULE", f"no cast from string to {target_kind}")
 
+    if kind in NUMERIC_KINDS:
+        if target_kind in INTEGER_KINDS:
+            return _to_int(value, target_kind)
+        if target_kind == "double":
+            return _to_double(value)
+        if target_kind == "float":
+            return _f32(_to_double(value))
+        if target_kind == "decimal":
+            if isinstance(value, float):
+                if math.isnan(value) or math.isinf(value):
+                    _cast_error("RANGE_ERROR", f"cannot cast {value} to decimal")
+                return Decimal(repr(value))
+            return Decimal(value)
+        if target_kind == "string":
+            return render_atomic(trusted_atomic(kind, value))
+        _cast_error("NO_CAST_RULE", f"no cast from {kind} to {target_kind}")
+
     if kind == "boolean" and target_kind == "string":
-        return AtomicValue("string", "true" if av.value else "false")
+        return "true" if value else "false"
     if kind in ("date", "dateTime") and target_kind == "string":
-        return AtomicValue("string", render_atomic(av))
+        return value.isoformat()
 
     _cast_error("NO_CAST_RULE", f"no cast from {kind} to {target_kind}")
-    raise AssertionError  # unreachable
+
+
+def atomic_cast(av: AtomicValue, target_kind: str) -> AtomicValue:
+    """Cast an atomic to `target_kind` (see `cast_value`)."""
+    if target_kind not in ATOMIC_KINDS:
+        raise DynamicError("NO_CAST_RULE", f"unknown target kind {target_kind!r}")
+    if av.kind == target_kind:
+        return av
+    value = cast_value(av.kind, av.value, target_kind)
+    if target_kind == "boolean":
+        return TRUE if value else FALSE
+    return AtomicValue(target_kind, value)

@@ -56,6 +56,8 @@ from .items import (
     Item,
     NUMERIC_KINDS,
     ObjectItem,
+    POSITIONS,
+    SHARED_POSITIONS,
     SequenceValue,
     at_most_one,
     effective_boolean_value,
@@ -562,40 +564,43 @@ def _compile_range(it, program):
 # ---------------------------------------------------------------------------
 
 
+def _object_pairs(pairs, ev, ctx) -> dict:
+    """Evaluate an object constructor's pairs into a dict; a repeated key is
+    reported only once every pair has been evaluated."""
+    out = {}
+    duplicate = None
+    for name, key, key_atom, key_pos, value, value_one, value_pos in pairs:
+        if key is not None:
+            atom = key_atom(key(ev, ctx), "object key")
+            if atom is None:
+                raise DynamicError("TYPE_ERROR", "object key must not be empty", key_pos)
+            name = atom.value if atom.kind == "string" else render_atomic(atom)
+        item = value(ev, ctx)
+        if not value_one:
+            item = at_most_one(item, "TYPE_ERROR", "object value must be a single item", value_pos)
+        if item is None:
+            item = NULL
+        if duplicate is None and name in out:
+            duplicate = name
+        out[name] = item
+    if duplicate is not None:
+        raise DynamicError("DUPLICATE_OBJECT_KEY", f"duplicate object key {duplicate!r}")
+    return out
+
+
 def _run_object(plan, ev, ctx):
     pairs, pos = plan
     try:
-        out = {}
-        duplicate = None
-        for name, key, key_atom, key_pos, value, value_one, value_pos in pairs:
-            if key is not None:
-                atom = key_atom(key(ev, ctx), "object key")
-                if atom is None:
-                    raise DynamicError("TYPE_ERROR", "object key must not be empty", key_pos)
-                name = atom.value if atom.kind == "string" else render_atomic(atom)
-            item = value(ev, ctx)
-            if not value_one:
-                item = at_most_one(
-                    item, "TYPE_ERROR", "object value must be a single item", value_pos
-                )
-            if item is None:
-                item = NULL
-            if duplicate is None and name in out:
-                duplicate = name
-            out[name] = item
-        if duplicate is not None:
-            # reported only once every pair has been evaluated
-            raise DynamicError("DUPLICATE_OBJECT_KEY", f"duplicate object key {duplicate!r}")
-        return ObjectItem(out)
+        return ObjectItem(_object_pairs(pairs, ev, ctx))
     except DynamicError as err:
         _locate(err, pos)
         raise
 
 
-def _compile_object(it, program):
-    # one (key name, key, key reader, key position, value, value is
-    # local-one, value position) entry per pair; a literal key is named here
-    # and compiles to nothing
+def _object_plan(it, program) -> tuple:
+    """One (key name, key, key reader, key position, value, value is
+    local-one, value position) entry per pair; a literal key is named here
+    and compiles to nothing."""
     pairs = []
     for key_it, val_it in zip(it.children[0::2], it.children[1::2]):
         if key_it.kind == "literal":
@@ -616,7 +621,15 @@ def _compile_object(it, program):
                 val_it.node.pos,
             )
         )
-    return MethodType(_run_object, (tuple(pairs), it.node.pos))
+    return tuple(pairs)
+
+
+def _compile_object(it, program):
+    return MethodType(_run_object, (_object_plan(it, program), it.node.pos))
+
+
+def _merge_duplicate(key, pos):
+    return DynamicError("DUPLICATE_KEY_IN_MERGE", f"duplicate key {key!r} in merge", pos)
 
 
 def _run_merged(plan, ev, ctx):
@@ -628,9 +641,31 @@ def _run_merged(plan, ev, ctx):
                 raise DynamicError("TYPE_ERROR", "merged object constructor requires objects", pos)
             for key, value in item.pairs.items():
                 if key in pairs:
-                    raise DynamicError(
-                        "DUPLICATE_KEY_IN_MERGE", f"duplicate key {key!r} in merge", pos
-                    )
+                    raise _merge_duplicate(key, pos)
+                pairs[key] = value
+        return ObjectItem(pairs)
+    except DynamicError as err:
+        _locate(err, pos)
+        raise
+
+
+def _run_merged_flwor(plan, ev, ctx):
+    """`{| FLWOR |}` whose return is an object constructor: each tuple's
+    pairs go straight into the merged dict, and no object is built per
+    tuple. Errors are those of the unfused form: the return's own at the
+    constructor's position, the clauses' and the merge's at the merge's."""
+    clauses, ret_pairs, ret_pos, pos = plan
+    try:
+        pairs: dict = {}
+        for t in _tuples(ev, ctx, clauses):
+            try:
+                returned = _object_pairs(ret_pairs, ev, t)
+            except DynamicError as err:
+                _locate(err, ret_pos)
+                raise
+            for key, value in returned.items():
+                if key in pairs:
+                    raise _merge_duplicate(key, pos)
                 pairs[key] = value
         return ObjectItem(pairs)
     except DynamicError as err:
@@ -640,6 +675,16 @@ def _run_merged(plan, ev, ctx):
 
 def _compile_merged(it, program):
     (source_it,) = it.children
+    if source_it.kind == "flwor" and not source_it.frame_lowered:
+        ret_it = source_it.return_iter
+        if ret_it.kind == "object" and ret_it.mode == LOCAL_ONE:
+            plan = (
+                _compile_clauses(source_it, program),
+                _object_plan(ret_it, program),
+                ret_it.node.pos,
+                it.node.pos,
+            )
+            return MethodType(_run_merged_flwor, plan)
     plan = (_compile(source_it, program), source_it.mode == LOCAL_ONE, it.node.pos)
     return MethodType(_run_merged, plan)
 
@@ -915,7 +960,11 @@ def _for_tuples(ev, clause, tuples):
             inner[var] = item
             if pos_var:
                 position += 1
-                inner[pos_var] = trusted_atomic("integer", position)
+                inner[pos_var] = (
+                    POSITIONS[position]
+                    if position < SHARED_POSITIONS
+                    else trusted_atomic("integer", position)
+                )
             yield inner
 
 
@@ -978,10 +1027,16 @@ def _order_tuples(ev, clause, tuples):
         yield t
 
 
-def _flwor_items(ev, ctx, clauses, ret, ret_one):
+def _tuples(ev, ctx, clauses):
+    """The tuple stream of a FLWOR's clauses, started from `ctx`."""
     tuples = (ctx,)
     for clause in clauses:
         tuples = clause[0](ev, clause, tuples)
+    return tuples
+
+
+def _flwor_items(ev, ctx, clauses, ret, ret_one):
+    tuples = _tuples(ev, ctx, clauses)
     if ret_one:
         for t in tuples:
             item = ret(ev, t)
@@ -1000,6 +1055,16 @@ def _run_flwor(plan, ev, ctx):
 def _compile_flwor(it, program):
     if it.frame_lowered:
         return _compile_flwor_frame(it, program)
+    plan = (
+        _compile_clauses(it, program),
+        _compile(it.return_iter, program),
+        it.return_iter.mode == LOCAL_ONE,
+    )
+    return MethodType(_run_flwor, plan)
+
+
+def _compile_clauses(it, program) -> tuple:
+    """A FLWOR's clause entries, in clause order."""
     clauses = []
     ordered_later = False
     for clause, child in reversed(it.clause_iters):
@@ -1028,12 +1093,7 @@ def _compile_flwor(it, program):
             )
         else:  # pragma: no cover
             raise AssertionError(type(clause))
-    plan = (
-        tuple(reversed(clauses)),
-        _compile(it.return_iter, program),
-        it.return_iter.mode == LOCAL_ONE,
-    )
-    return MethodType(_run_flwor, plan)
+    return tuple(reversed(clauses))
 
 
 def _compile_flwor_frame(it, program):

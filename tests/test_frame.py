@@ -4,7 +4,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from jsoniqml.errors import DynamicError, MaterializationCapError
-from jsoniqml.frame import annotate_rows, frame_filter, make_builder
+from jsoniqml.frame import ArrayColumn, ScalarColumn, annotate_rows, frame_filter, make_builder
 from jsoniqml.items import AtomicValue, ArrayItem, deep_equal, from_py
 from jsoniqml.schema import FrameColumnType, parse_schema, validate_item
 
@@ -31,7 +31,7 @@ class TestFromToItems:
     def test_mismatch_is_defensive_error(self):
         with pytest.raises(DynamicError) as err:
             annotate_rows(iter([from_py({"a": 1}), from_py({"a": "x"})]), from_py({"a": "int"}))
-        # rows are validated before they reach a column builder
+        # a row the column builders reject is reported by the validator
         assert err.value.code == "VALIDATION_ERROR"
         assert "row 1" in err.value.message
 
@@ -79,6 +79,50 @@ class TestRoundTripProperty:
             assert deep_equal(a, b)
 
 
+def _taken_per_row(column: ArrayColumn, indices) -> "tuple[list, list]":
+    """Offsets and members of `column.take(indices)`, one row at a time."""
+    offsets, members = [0], []
+    for i in indices:
+        lo, hi = int(column.offsets[i]), int(column.offsets[i + 1])
+        members.extend(column.flat.values[lo:hi].tolist())
+        offsets.append(offsets[-1] + hi - lo)
+    return offsets, members
+
+
+class TestArrayTake:
+    @given(
+        st.lists(st.integers(0, 4), max_size=8).flatmap(
+            lambda lengths: st.tuples(
+                st.just(lengths),
+                st.lists(st.integers(0, len(lengths) - 1), max_size=12)
+                if lengths
+                else st.just([]),
+            )
+        )
+    )
+    def test_matches_per_row_take(self, drawn):
+        lengths, indices = drawn
+        offsets = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)]).astype(np.int64)
+        ctype = FrameColumnType("Array", member=FrameColumnType("Double"))
+        flat = ScalarColumn(ctype.member, np.arange(offsets[-1], dtype=np.float64) * 1.5)
+        column = ArrayColumn(ctype, offsets, flat)
+        taken = column.take(np.array(indices, dtype=np.int64))
+        expected_offsets, expected_members = _taken_per_row(column, indices)
+        assert taken.offsets.dtype == np.int64
+        assert taken.offsets.tolist() == expected_offsets
+        assert taken.flat.values.tolist() == expected_members
+
+    def test_empty_arrays_empty_index_and_repeats(self):
+        ctype = FrameColumnType("Array", member=FrameColumnType("Double"))
+        offsets = np.array([0, 0, 3, 3, 5], dtype=np.int64)
+        column = ArrayColumn(ctype, offsets, ScalarColumn(ctype.member, np.arange(5.0)))
+        taken = column.take(np.array([3, 0, 1, 3, 1], dtype=np.int64))
+        assert taken.offsets.tolist() == [0, 2, 2, 5, 7, 10]
+        assert taken.flat.values.tolist() == [3.0, 4.0, 0.0, 1.0, 2.0, 3.0, 4.0, 0.0, 1.0, 2.0]
+        nothing = column.take(np.zeros(0, dtype=np.int64))
+        assert nothing.offsets.tolist() == [0] and nothing.flat.values.tolist() == []
+
+
 class TestFilter:
     def test_label_eq_prediction(self):
         filtered = frame_filter(small_frame(), label_eq_prediction)
@@ -122,7 +166,7 @@ class TestFilter:
 def built_column(ctype, frame, fn):
     builder = make_builder(ctype)
     for row in frame.iter_items():
-        builder.append(fn(row))
+        assert builder.put(fn(row))
     return builder.finish()
 
 

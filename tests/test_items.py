@@ -1,4 +1,5 @@
 import math
+import sys
 from datetime import date, datetime
 from decimal import Decimal
 
@@ -7,6 +8,7 @@ import hypothesis.strategies as st
 from hypothesis import given
 
 from conftest import json_items
+from jsoniqml import run_query, run_query_lines
 from jsoniqml.errors import DynamicError, EngineError
 from jsoniqml.items import (
     ArrayItem,
@@ -21,7 +23,9 @@ from jsoniqml.items import (
     from_py,
     object_item,
     parse_canonical,
+    render_atomic,
 )
+from jsoniqml.modes import POLICIES
 
 
 def seq(*items):
@@ -203,6 +207,14 @@ class TestAtomicCast:
         assert out.kind == "float"
         assert abs(out.value - 0.1) < 1e-7 and out.value != 0.1
 
+    def test_beyond_float_range_rounds_to_infinity(self):
+        assert atomic_cast(AtomicValue("double", 3.5e38), "float").value == math.inf
+        assert atomic_cast(AtomicValue("string", "-1e39"), "float").value == -math.inf
+        # just above the largest float, IEEE rounding still gives that float
+        assert atomic_cast(AtomicValue("double", 3.4028235e38), "float").value < math.inf
+        assert atomic_cast(AtomicValue("integer", -(10**400)), "double").value == -math.inf
+        assert atomic_cast(AtomicValue("integer", 10**400), "float").value == math.inf
+
     def test_double_to_int_truncates(self):
         assert atomic_cast(AtomicValue("double", -2.7), "int").value == -2
 
@@ -237,6 +249,66 @@ class TestCastProperties:
         item = AtomicValue("byte", value)
         widened = atomic_cast(item, "long")
         assert atomic_cast(widened, "byte").value == value
+
+
+def _python_digits(value: int) -> str:
+    """str(value) without the interpreter's limit on converted digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestIntegersBeyondStrDigits:
+    """Python's int() and str() refuse more than 4300 digits by default."""
+
+    LONG = "1" * 5000
+
+    @pytest.mark.parametrize("kind", ["byte", "short", "int", "long"])
+    @pytest.mark.parametrize("sign", ["", "-", "+"])
+    def test_long_digit_string_is_range_error(self, kind, sign):
+        with pytest.raises(DynamicError) as err:
+            atomic_cast(AtomicValue("string", f" {sign}{self.LONG} "), kind)
+        assert err.value.code == "RANGE_ERROR"
+        assert err.value.message.endswith(f"digits out of range for {kind}")
+        assert "1111" not in err.value.message
+
+    def test_leading_zeros_do_not_count(self):
+        assert atomic_cast(AtomicValue("string", "-" + "0" * 5000 + "7"), "byte").value == -7
+
+    def test_25_digits_keep_their_message(self):
+        with pytest.raises(DynamicError) as err:
+            atomic_cast(AtomicValue("string", "1" * 25), "long")
+        assert (err.value.code, err.value.message) == (
+            "RANGE_ERROR",
+            f"{'1' * 25} out of range for long",
+        )
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_through_annotate_every_policy(self, policy):
+        rows = 'for $i in 1 to 2 return {"a": if ($i eq 2) then $v else "5"}'
+        query = f'annotate({rows}, {{"a": "long"}})'
+        with pytest.raises(DynamicError) as err:
+            run_query(query, {"v": self.LONG}, policy=policy)
+        assert (err.value.code, err.value.position) == ("VALIDATION_ERROR", (1, 1))
+        assert err.value.message == (
+            "row 1: at $.a: cannot cast string to long: "
+            f"an integer of more than {sys.get_int_max_str_digits()} digits out of range for long"
+        )
+
+    @pytest.mark.parametrize(
+        "value", [10**4800, -(7**6000), 3**9000 + 1], ids=["10^4800", "-7^6000", "3^9000+1"]
+    )
+    def test_render_is_python_digits(self, value):
+        assert render_atomic(AtomicValue("integer", value)) == _python_digits(value)
+
+    def test_product_renders_and_serializes(self):
+        x = 123456789 * 10**52 + 987654321
+        query = f"let $x := {x} let $y := {' * '.join(['$x'] * 80)} return [$y, string($y)]"
+        digits = _python_digits(x**80)
+        assert run_query_lines(query) == [f'[{digits}, "{digits}"]']
 
 
 class TestSequenceValue:
