@@ -4,7 +4,8 @@ dataset under each mode policy and report what happens.
 force-local (no optimizations) must materialize the validated rows at the
 let binding and dies on the cap once the data outgrows it; frame keeps
 validation columnar but filters row-at-a-time; auto additionally lowers the
-predicate into the frame. Prints one row per (n, policy).
+predicate into a column kernel, which compares the `label` column without
+reading a row out of the frame. Prints one row per (n, policy).
 
 Usage:
     python scripts/mode_ablation.py --sizes 1000 10000 100000 --cap 10000

@@ -17,17 +17,35 @@ schema order) and casts it straight into the column's payload buffer, so no
 atom, object or array is built. A row a builder rejects is validated again
 by `validate_item`, so every error, with its `row i:` prefix and its path,
 is the validator's.
+
+`frame_filter` keeps the rows for which a lowered condition holds. It runs
+the condition's column kernel first: numpy operations over only the columns
+the condition references, which build no row. A frame has one column type
+for the whole filter, so the kernel decides once per call whether it can be
+exact, and refuses where it could differ from the per-row path. Only then
+is each row read out as an object and the condition interpreted on it, which
+raises the per-row error with its `row i:` prefix.
 """
 
 from __future__ import annotations
 
+import operator
 from array import array
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .errors import DynamicError, MaterializationCapError
-from .items import ArrayItem, AtomicValue, Item, ObjectItem, cast_value
+from .items import (
+    INTEGER_KINDS,
+    ArrayItem,
+    AtomicValue,
+    Item,
+    ObjectItem,
+    cast_value,
+    render_atomic,
+    trusted_atomic,
+)
 from .schema import FRAME_TO_ATOMIC, FrameColumnType, parse_schema, validate_item
 
 _NUMPY_SCALAR = {
@@ -301,12 +319,290 @@ def annotate_rows(rows: "Iterable[Item]", descriptor: Item) -> Frame:
     return builder.finish()
 
 
-def frame_filter(frame: Frame, predicate: "Callable[[ObjectItem], bool]") -> Frame:
-    """Keep rows whose predicate holds; order and schema are unchanged."""
-    mask = np.zeros(frame.nrows, dtype=bool)
-    for i in range(frame.nrows):
+def frame_filter(
+    frame: Frame,
+    predicate: "Callable[[ObjectItem], bool]",
+    kernel: "Optional[Callable[[Frame], tuple]]" = None,
+) -> Frame:
+    """Keep rows whose condition holds; order and schema are unchanged.
+
+    The column kernel, when given, computes the condition's vector from the
+    columns it reads. When it refuses, `predicate` runs once per row object
+    and raises the per-row path's error, prefixed with the row index.
+    """
+    mask = None
+    if kernel is not None and frame.nrows:
         try:
-            mask[i] = predicate(frame.row_item(i))
-        except DynamicError as err:
-            raise DynamicError(err.code, f"row {i}: {err.message}", err.position) from err
+            with np.errstate(all="ignore"):
+                mask = np.broadcast_to(vector_ebv(kernel(frame)), frame.nrows)
+        except Refused:
+            pass
+    if mask is None:
+        mask = np.zeros(frame.nrows, dtype=bool)
+        for i in range(frame.nrows):
+            try:
+                mask[i] = predicate(frame.row_item(i))
+            except DynamicError as err:
+                raise DynamicError(err.code, f"row {i}: {err.message}", err.position) from err
     return frame.take(np.nonzero(mask)[0])
+
+
+# ---------------------------------------------------------------------------
+# Column kernels: the operators of a lowered condition applied to whole
+# columns. A vector is `(kind, values)`: the kind class that every row's
+# value has (see `_KIND_CLASS`; "empty", "record" and "array" are the
+# non-atomic ones) and a numpy array with one value per row, or a plain
+# Python scalar that stands for every row (a literal). Each operator raises
+# `Refused` wherever the per-row path could raise or give another value, so
+# a kernel that returns is exact, and one that refuses leaves the row
+# objects, the error and its row index to `frame_filter`'s per-row path.
+# ---------------------------------------------------------------------------
+
+
+class Refused(Exception):
+    """A column kernel cannot be exact on this frame."""
+
+
+_KIND_CLASS = {
+    **{kind: "int" for kind in INTEGER_KINDS},
+    "double": "double",
+    "float": "double",
+    "decimal": "decimal",
+    "string": "string",
+    "boolean": "boolean",
+    "null": "null",
+    "date": "date",
+    "dateTime": "dateTime",
+    "hexBinary": "hexBinary",
+}
+# the item kind whose rendering each class shares
+_RENDER_KIND = {cls: kind for kind, cls in _KIND_CLASS.items()}
+_RENDER_KIND["int"] = "integer"
+
+EMPTY = ("empty", None)
+_NUMBERS = frozenset({"int", "double", "decimal"})
+_ORDERED = frozenset({"string", "boolean", "date", "dateTime"})
+_DTYPE = {"int": np.int64, "double": np.float64, "boolean": np.bool_}
+_INT64_MAX = 2**63 - 1
+_EXACT_DOUBLE = 2**53  # every integer up to this magnitude is a double
+# the Python operator of each comparison and additive operator, which the
+# per-row path applies to values and a kernel to columns
+COMPARISONS = {
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
+}
+ADDITIVE = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def row_vector(frame: Frame) -> tuple:
+    """The rows themselves: the vector of `$$`, or of a `for` variable."""
+    return ("record", frame)
+
+
+def literal_vector(atom: AtomicValue) -> tuple:
+    return (_KIND_CLASS[atom.kind], atom.value)
+
+
+def _column_vector(column) -> tuple:
+    if column.__class__ is Frame:
+        return ("record", column)
+    if column.__class__ is ArrayColumn:
+        return ("array", None)
+    kind = _KIND_CLASS[FRAME_TO_ATOMIC[column.type.kind]]
+    if kind == "null":
+        return ("null", None)
+    values = column.values
+    if not isinstance(values, np.ndarray):
+        values = _object_array(values)
+    return (kind, values)
+
+
+def _object_array(values: list) -> np.ndarray:
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+def _atomic_operands(*vectors) -> bool:
+    """Refuse a record or array operand, which the per-row path rejects;
+    True when any operand is empty."""
+    for kind, _ in vectors:
+        if kind in ("record", "array"):
+            raise Refused
+    return any(kind == "empty" for kind, _ in vectors)
+
+
+def _ints(vector: tuple):
+    """An integer vector's values as int64, or a scalar in the int64 range."""
+    values = vector[1]
+    if not isinstance(values, np.ndarray) and not -_INT64_MAX - 1 <= values <= _INT64_MAX:
+        raise Refused
+    return values
+
+
+def _magnitude(values) -> int:
+    if isinstance(values, np.ndarray):
+        return max(-int(values.min()), int(values.max()))
+    return abs(int(values))
+
+
+def _doubles(vector: tuple):
+    """A numeric vector's values as doubles, where the per-row path would
+    convert them to double the same way: an integer beyond 2**53 would not
+    convert exactly, nor compare like one (Python compares int and float
+    exactly)."""
+    kind, values = vector
+    if kind == "double":
+        return values
+    if kind == "decimal":
+        if isinstance(values, np.ndarray):
+            return np.fromiter((float(v) for v in values), np.float64, len(values))
+        return float(values)
+    if _magnitude(_ints(vector)) > _EXACT_DOUBLE:
+        raise Refused
+    return values.astype(np.float64) if isinstance(values, np.ndarray) else float(values)
+
+
+def vector_ebv(vector: tuple):
+    """The effective boolean value of each row's value (`items.item_ebv`)."""
+    kind, values = vector
+    if kind in ("empty", "null"):
+        return False
+    if kind == "boolean":
+        return values
+    if kind == "string":
+        return values != ""
+    if kind in ("int", "decimal"):
+        return values != 0
+    if kind == "double":
+        return (values != 0) & (values == values)  # NaN is false
+    raise Refused  # EBV_ERROR
+
+
+def vector_lookup(key: str, base: tuple) -> tuple:
+    # a lookup on anything but an object, or of a missing key, is empty
+    if base[0] != "record":
+        return EMPTY
+    try:
+        return _column_vector(base[1].column(key))
+    except DynamicError:
+        return EMPTY
+
+
+def vector_compare(op: str, left: tuple, right: tuple) -> tuple:
+    """`runtime._compare_values` on each row."""
+    if _atomic_operands(left, right):
+        return EMPTY
+    ka, kb = left[0], right[0]
+    if ka == "null" or kb == "null":
+        if op not in ("eq", "ne"):
+            raise Refused  # null is not ordered
+        return ("boolean", (ka == kb) == (op == "eq"))
+    if ka in _NUMBERS and kb in _NUMBERS:
+        if ka == kb:
+            if ka == "int":
+                return ("boolean", COMPARISONS[op](_ints(left), _ints(right)))
+            return ("boolean", COMPARISONS[op](left[1], right[1]))
+        if "decimal" in (ka, kb) and "int" in (ka, kb):
+            raise Refused  # compared exactly per row, not as doubles
+        return ("boolean", COMPARISONS[op](_doubles(left), _doubles(right)))
+    if ka == kb and ka in _ORDERED:
+        return ("boolean", COMPARISONS[op](left[1], right[1]))
+    raise Refused  # values of these kinds do not compare
+
+
+def vector_arithmetic(op: str, left: tuple, right: tuple) -> tuple:
+    """`runtime._arithmetic` on each row."""
+    if _atomic_operands(left, right):
+        return EMPTY
+    ka, kb = left[0], right[0]
+    if ka not in _NUMBERS or kb not in _NUMBERS:
+        raise Refused
+    if op == "div":
+        return ("double", np.true_divide(_doubles(left), _doubles(right)))
+    if "double" in (ka, kb):
+        x, y = _doubles(left), _doubles(right)
+        if op in ("idiv", "mod") and np.any(y == 0):
+            raise Refused  # DIVISION_BY_ZERO
+        if op == "idiv":
+            quotient = np.trunc(np.true_divide(x, y))
+            if not np.all(np.abs(quotient) < 2.0**63):
+                raise Refused  # not finite, or beyond int64
+            return ("int", quotient.astype(np.int64))
+        if op == "mod":
+            return ("double", np.fmod(x, y))
+        return ("double", ADDITIVE[op](x, y))
+    if "decimal" in (ka, kb):
+        raise Refused  # Decimal arithmetic stays per row
+    x, y = _ints(left), _ints(right)
+    mx, my = _magnitude(x), _magnitude(y)
+    if op in ("idiv", "mod"):
+        if np.any(y == 0):
+            raise Refused  # DIVISION_BY_ZERO
+        if max(mx, my) > _INT64_MAX:
+            raise Refused  # -2**63 has no int64 magnitude
+        quotient = np.abs(x) // np.abs(y)
+        quotient = np.where((x >= 0) == (y >= 0), quotient, -quotient)
+        return ("int", quotient if op == "idiv" else x - y * quotient)
+    if (mx * my if op == "*" else mx + my) > _INT64_MAX:
+        raise Refused  # Python integers do not wrap
+    return ("int", ADDITIVE[op](x, y))
+
+
+def vector_boolean(is_and: bool, left: tuple, right: tuple) -> tuple:
+    # both sides over every row: where the right side could raise on a row
+    # that the left decides, it refuses instead
+    combine = np.logical_and if is_and else np.logical_or
+    return ("boolean", combine(vector_ebv(left), vector_ebv(right)))
+
+
+def vector_not(operand: tuple) -> tuple:
+    return ("boolean", np.logical_not(vector_ebv(operand)))
+
+
+def vector_if(cond: tuple, then: tuple, orelse: tuple) -> tuple:
+    mask = vector_ebv(cond)
+    if np.ndim(mask) == 0:
+        return then if mask else orelse
+    kind = then[0]
+    if orelse[0] != kind or kind in ("record", "array"):
+        raise Refused  # one kind per vector
+    if kind in ("empty", "null"):
+        return then
+    if kind == "int":  # a literal beyond int64 fits in no int64 array
+        _ints(then)
+        _ints(orelse)
+    dtype = _DTYPE.get(kind, object)
+    return (kind, np.where(mask, np.asarray(then[1], dtype), np.asarray(orelse[1], dtype)))
+
+
+def vector_string(operand: tuple) -> tuple:
+    """`string#1` of each row's value."""
+    if _atomic_operands(operand):
+        return ("string", "")
+    kind, values = operand
+    if kind == "string":
+        return operand
+    render_kind = _RENDER_KIND[kind]
+    if isinstance(values, (np.ndarray, np.generic)):
+        values = values.tolist()  # Python values, which render_atomic takes
+    if not isinstance(values, list):
+        return ("string", render_atomic(trusted_atomic(render_kind, values)))
+    return ("string", _object_array([render_atomic(trusted_atomic(render_kind, v)) for v in values]))
+
+
+def vector_contains(haystack: tuple, needle: tuple) -> tuple:
+    """`contains#2` of each row's values; an empty argument is ""."""
+    strings = []
+    for kind, values in (haystack, needle):
+        if kind not in ("string", "empty"):
+            raise Refused  # contains expects a string
+        strings.append("" if kind == "empty" else values)
+    return ("boolean", np.asarray(_CONTAINS(*strings), dtype=bool))
+
+
+_CONTAINS = np.frompyfunc(operator.contains, 2, 1)

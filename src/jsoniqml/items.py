@@ -63,7 +63,7 @@ def _f32(value: float) -> float:
         return math.copysign(math.inf, value)
 
 
-def _to_double(value) -> float:
+def to_double(value) -> float:
     """A number as a double; an integer beyond the double range is infinite."""
     try:
         return float(value)
@@ -687,9 +687,9 @@ def cast_value(kind: str, value, target_kind: str):
         if target_kind in INTEGER_KINDS:
             return _to_int(value, target_kind)
         if target_kind == "double":
-            return _to_double(value)
+            return to_double(value)
         if target_kind == "float":
-            return _f32(_to_double(value))
+            return _f32(to_double(value))
         if target_kind == "decimal":
             if isinstance(value, float):
                 if math.isnan(value) or math.isinf(value):

@@ -28,6 +28,12 @@ The dynamic context is a plain dict from variable name to binding, with the
 predicate context item under `$$`. A `local-one` variable is bound to the bare
 item (or None), any other variable to a `SequenceValue` or a `Frame`.
 
+A lowered predicate or `where` (see `modes._lowerable`) is compiled twice:
+into the usual callable, and into a column kernel that applies the
+condition's operators to whole columns (`frame.py`). The filter runs the
+kernel first. The kernel refuses wherever it could differ from the per-row
+result or error, and only then does the callable run once per row object.
+
 A run function whose own body can raise a dynamic error attaches its node's
 position to a position-less one; errors raised later, while a lazy result is
 pulled, surface in whichever iterator pulls it.
@@ -36,7 +42,6 @@ pulled, surface in whichever iterator pulls it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from types import MethodType
@@ -44,7 +49,23 @@ from typing import Any, Callable, Optional
 
 from .ast_nodes import ForClause, LetClause, OrderByClause, WhereClause
 from .errors import DynamicError, MaterializationCapError
-from .frame import Frame, frame_filter
+from .frame import (
+    ADDITIVE,
+    COMPARISONS,
+    EMPTY,
+    Frame,
+    frame_filter,
+    literal_vector,
+    row_vector,
+    vector_arithmetic,
+    vector_boolean,
+    vector_compare,
+    vector_contains,
+    vector_if,
+    vector_lookup,
+    vector_not,
+    vector_string,
+)
 from .items import (
     FALSE,
     NULL,
@@ -63,6 +84,8 @@ from .items import (
     effective_boolean_value,
     item_ebv,
     render_atomic,
+    render_double,
+    to_double,
     trusted_atomic,
 )
 from .modes import CompiledTree, LOCAL_ONE, FunctionInfo, RuntimeIterator
@@ -395,15 +418,6 @@ def _compile_not(it, program):
 
 # -- comparisons -------------------------------------------------------------
 
-_COMPARISONS = {
-    "eq": operator.eq,
-    "ne": operator.ne,
-    "lt": operator.lt,
-    "le": operator.le,
-    "gt": operator.gt,
-    "ge": operator.ge,
-}
-
 # kinds whose values compare directly when both sides have the kind
 _SAME_KIND_COMPARABLE = NUMERIC_KINDS | {"string", "boolean", "date", "dateTime"}
 
@@ -411,7 +425,7 @@ _SAME_KIND_COMPARABLE = NUMERIC_KINDS | {"string", "boolean", "date", "dateTime"
 def _compare_values(op: str, a: AtomicValue, b: AtomicValue) -> bool:
     ka, kb = a.kind, b.kind
     if ka == kb and ka in _SAME_KIND_COMPARABLE:
-        return _COMPARISONS[op](a.value, b.value)
+        return COMPARISONS[op](a.value, b.value)
     if ka == "null" or kb == "null":
         if op == "eq":
             return ka == "null" and kb == "null"
@@ -425,7 +439,7 @@ def _compare_values(op: str, a: AtomicValue, b: AtomicValue) -> bool:
             av = float(av)
         elif isinstance(av, float) and isinstance(bv, Decimal):
             bv = float(bv)
-        return _COMPARISONS[op](av, bv)
+        return COMPARISONS[op](av, bv)
     raise DynamicError("TYPE_ERROR", f"cannot compare {ka} with {kb}")
 
 
@@ -476,20 +490,29 @@ def _ieee_div(a: float, b: float) -> float:
     return a / b
 
 
-_ADDITIVE = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+def _ieee_fmod(a: float, b: float) -> float:
+    # math.fmod rejects an infinite dividend, whose IEEE 754 remainder is NaN
+    return math.nan if math.isinf(a) else math.fmod(a, b)
 
 
 def _arithmetic(op: str, left: AtomicValue, right: AtomicValue, pos) -> AtomicValue:
+    """Integers stay exact; a double operand makes the operation double, and
+    an integer beyond the double range then converts to an infinity."""
     if left.kind not in NUMERIC_KINDS or right.kind not in NUMERIC_KINDS:
         raise DynamicError("TYPE_ERROR", f"arithmetic on {left.kind} and {right.kind}", pos)
     a, b = left.value, right.value
     if op == "div":
-        return trusted_atomic("double", _ieee_div(float(a), float(b)))
+        return trusted_atomic("double", _ieee_div(to_double(a), to_double(b)))
     if op == "idiv":
-        if float(b) == 0.0:
+        if to_double(b) == 0.0:
             raise DynamicError("DIVISION_BY_ZERO", "idiv by zero", pos)
         if isinstance(a, float) or isinstance(b, float):
-            value = math.trunc(float(a) / float(b))
+            quotient = to_double(a) / to_double(b)
+            if not math.isfinite(quotient):
+                raise DynamicError(
+                    "RANGE_ERROR", f"idiv quotient {render_double(quotient)} is not an integer", pos
+                )
+            value = math.trunc(quotient)
         elif isinstance(a, Decimal) or isinstance(b, Decimal):
             value = _trunc_div(a if isinstance(a, Decimal) else Decimal(a),
                                b if isinstance(b, Decimal) else Decimal(b))
@@ -498,19 +521,19 @@ def _arithmetic(op: str, left: AtomicValue, right: AtomicValue, pos) -> AtomicVa
             value = _trunc_div(a, b)
         return trusted_atomic("integer", int(value))
     if op == "mod":
-        if float(b) == 0.0:
+        if to_double(b) == 0.0:
             raise DynamicError("DIVISION_BY_ZERO", "mod by zero", pos)
         if isinstance(a, float) or isinstance(b, float):
-            return trusted_atomic("double", math.fmod(float(a), float(b)))
+            return trusted_atomic("double", _ieee_fmod(to_double(a), to_double(b)))
         if isinstance(a, Decimal) or isinstance(b, Decimal):
             da = a if isinstance(a, Decimal) else Decimal(a)
             db = b if isinstance(b, Decimal) else Decimal(b)
             return trusted_atomic("decimal", da % db)
         return trusted_atomic("integer", a - b * _trunc_div(a, b))
     # + - *
-    apply = _ADDITIVE[op]
+    apply = ADDITIVE[op]
     if isinstance(a, float) or isinstance(b, float):
-        return trusted_atomic("double", apply(float(a), float(b)))
+        return trusted_atomic("double", apply(to_double(a), to_double(b)))
     if isinstance(a, Decimal) or isinstance(b, Decimal):
         da = a if isinstance(a, Decimal) else Decimal(a)
         db = b if isinstance(b, Decimal) else Decimal(b)
@@ -758,8 +781,10 @@ def _filter_items(ev, ctx: dict, base: SequenceValue, cond, ebv):
 
 def _run_frame_where(plan, ev, ctx):
     """A lowered predicate or `where`: filter the source's frame by a
-    condition that reads nothing but the row bound to `var`."""
-    source, var, cond, ebv, pos = plan
+    condition that reads nothing but the row bound to `var`. The condition's
+    column kernel runs first; the compiled condition runs per row only when
+    the kernel refuses."""
+    source, var, cond, ebv, kernel, pos = plan
     frame = source(ev, ctx)
     row_ctx = {}
 
@@ -768,10 +793,55 @@ def _run_frame_where(plan, ev, ctx):
         return ebv(cond(ev, row_ctx))
 
     try:
-        return frame_filter(frame, row_pred)
+        return frame_filter(frame, row_pred, kernel)
     except DynamicError as err:
         _locate(err, pos)
         raise
+
+
+def _kernel_constant(vector, frame):
+    return vector
+
+
+def _run_kernel(plan, frame):
+    operation, constants, children = plan
+    return operation(*constants, *[child(frame) for child in children])
+
+
+# the column operation of each operator a lowered condition may hold
+_VECTOR_OPERATIONS = {
+    "comparison": vector_compare,
+    "arithmetic": vector_arithmetic,
+    "boolop": vector_boolean,
+    "not": vector_not,
+    "if": vector_if,
+    "lookup": vector_lookup,
+    "contains#2": vector_contains,
+    "string#1": vector_string,
+}
+
+
+def _compile_kernel(it):
+    """The column kernel of a condition that `modes._lowerable` accepts: a
+    callable from a frame to the condition's vector (see `frame.py`)."""
+    kind, node = it.kind, it.node
+    if kind == "literal":
+        return MethodType(_kernel_constant, literal_vector(node.value))
+    if kind in ("context", "var"):
+        return row_vector  # the only variable a lowered condition reads
+    children = tuple([_compile_kernel(child) for child in it.children])
+    if kind == "seq":
+        return children[0] if children else MethodType(_kernel_constant, EMPTY)
+    constants = ()
+    if kind in ("comparison", "arithmetic"):
+        constants = (node.op,)
+    elif kind == "boolop":
+        constants = (node.op == "and",)
+    elif kind == "lookup":
+        constants = (node.key,)
+    elif kind == "static-call":
+        kind = node.target[1]
+    return MethodType(_run_kernel, (_VECTOR_OPERATIONS[kind], constants, children))
 
 
 def _run_predicate(plan, ev, ctx):
@@ -788,7 +858,8 @@ def _compile_predicate(it, program):
     cond, ebv = _compile(cond_it, program), _ebv_reader(cond_it)
     if it.frame_lowered:
         # the base is frame-mode: its value is a Frame
-        return MethodType(_run_frame_where, (base, _CONTEXT, cond, ebv, it.node.pos))
+        plan = (base, _CONTEXT, cond, ebv, _compile_kernel(cond_it), it.node.pos)
+        return MethodType(_run_frame_where, plan)
     return MethodType(_run_predicate, (base, base_it.mode == LOCAL_ONE, cond, ebv))
 
 
@@ -996,7 +1067,7 @@ def _sort_key(atom: Optional[AtomicValue], pos):
     if atom is None:
         raise DynamicError("TYPE_ERROR", "order-by key must not be empty", pos)
     if atom.kind in NUMERIC_KINDS:
-        value = float(atom.value)
+        value = to_double(atom.value)
         if math.isnan(value):
             raise DynamicError("TYPE_ERROR", "order-by key is NaN", pos)
         return ("n", value)
@@ -1109,7 +1180,14 @@ def _compile_flwor_frame(it, program):
     if not wheres:
         return source
     where = wheres[0]
-    plan = (source, for_clause.var, _compile(where, program), _ebv_reader(where), it.node.pos)
+    plan = (
+        source,
+        for_clause.var,
+        _compile(where, program),
+        _ebv_reader(where),
+        _compile_kernel(where),
+        it.node.pos,
+    )
     return MethodType(_run_frame_where, plan)
 
 

@@ -45,6 +45,7 @@ from jsoniqml.items import (
     NUMERIC_KINDS,
     ObjectItem,
     render_atomic,
+    to_double,
 )
 from jsoniqml.resolver import ResolvedModule
 
@@ -205,7 +206,7 @@ class _Ref:
                 if atom is None:
                     raise DynamicError("TYPE_ERROR", "empty order key")
                 if atom.kind in NUMERIC_KINDS:
-                    key = ("n", float(atom.value))
+                    key = ("n", to_double(atom.value))
                 elif atom.kind in ("string", "boolean", "date", "dateTime"):
                     key = (atom.kind, atom.value)
                 else:
@@ -290,7 +291,7 @@ class _Ref:
         a, b = left.value, right.value
         op = node.op
         if op == "div":
-            fa, fb = float(a), float(b)
+            fa, fb = to_double(a), to_double(b)
             if fb == 0.0:
                 if fa == 0.0 or math.isnan(fa):
                     return [AtomicValue("double", float("nan"))]
@@ -298,18 +299,24 @@ class _Ref:
                 return [AtomicValue("double", sign * float("inf"))]
             return [AtomicValue("double", fa / fb)]
         if op == "idiv":
-            if float(b) == 0.0:
+            if to_double(b) == 0.0:
                 raise DynamicError("DIVISION_BY_ZERO", "idiv")
             if isinstance(a, float) or isinstance(b, float):
-                return [AtomicValue("integer", int(math.trunc(float(a) / float(b))))]
+                quotient = to_double(a) / to_double(b)
+                if math.isinf(quotient) or math.isnan(quotient):
+                    raise DynamicError("RANGE_ERROR", "idiv quotient")
+                return [AtomicValue("integer", int(math.trunc(quotient)))]
             q = abs(a) // abs(b)
             q = q if (a >= 0) == (b >= 0) else -q
             return [AtomicValue("integer", int(q))]
         if op == "mod":
-            if float(b) == 0.0:
+            if to_double(b) == 0.0:
                 raise DynamicError("DIVISION_BY_ZERO", "mod")
             if isinstance(a, float) or isinstance(b, float):
-                return [AtomicValue("double", math.fmod(float(a), float(b)))]
+                fa, fb = to_double(a), to_double(b)
+                # the IEEE 754 remainder of an infinite dividend is NaN
+                value = float("nan") if math.isinf(fa) else math.fmod(fa, fb)
+                return [AtomicValue("double", value)]
             if isinstance(a, Decimal) or isinstance(b, Decimal):
                 da = a if isinstance(a, Decimal) else Decimal(a)
                 db = b if isinstance(b, Decimal) else Decimal(b)
@@ -319,7 +326,7 @@ class _Ref:
             return [AtomicValue("integer", a - b * q)]
         fn = {"+": lambda x, y: x + y, "-": lambda x, y: x - y, "*": lambda x, y: x * y}[op]
         if isinstance(a, float) or isinstance(b, float):
-            return [AtomicValue("double", fn(float(a), float(b)))]
+            return [AtomicValue("double", fn(to_double(a), to_double(b)))]
         if isinstance(a, Decimal) or isinstance(b, Decimal):
             da = a if isinstance(a, Decimal) else Decimal(a)
             db = b if isinstance(b, Decimal) else Decimal(b)

@@ -1,0 +1,60 @@
+"""Arithmetic and ordering on integers beyond the double range.
+
+An integer operand that meets a double converts to double; beyond the double
+range that conversion is an infinity, as in the cast table, and never a
+Python `OverflowError`. An infinite dividend of `mod` gives NaN, as IEEE 754
+does, and an `idiv` whose double quotient is not finite is a RANGE_ERROR.
+Each case runs under every mode policy and against the reference evaluator.
+"""
+
+import pytest
+
+from jsoniqml.builtins import CATALOG
+from jsoniqml.engine import run_query_lines
+from jsoniqml.errors import EngineError
+from jsoniqml.items import canonical_serialize
+from jsoniqml.modes import POLICIES
+from jsoniqml.parser import parse
+from jsoniqml.resolver import resolve
+
+import reference_eval
+
+# $y is (10^60)^6 = 10^360, beyond the largest double (about 1.8e308)
+BIG = "let $x := 1" + "0" * 60 + " let $y := $x * $x * $x * $x * $x * $x "
+
+# (query, serialized items or an error code)
+CASES = [
+    (BIG + "return $y div 2", ["INF"]),
+    (BIG + "return (0 - $y) div 2", ["-INF"]),
+    (BIG + "return $y + 1.5e0", ["INF"]),
+    (BIG + "return $y idiv 2.5e0", "RANGE_ERROR"),
+    (BIG + "return $y mod 2.5e0", ["NaN"]),
+    (BIG + "for $i in 1 to 2 order by $y * $i descending return $i", ["1", "2"]),
+    (BIG + "return 1 idiv $y", ["0"]),
+    (BIG + "return 1.5e0 mod $y", ["1.5"]),
+    ("(1e0 div 0) idiv 1e0", "RANGE_ERROR"),
+    ("(0e0 div 0) idiv 1e0", "RANGE_ERROR"),
+    ("(1e0 div 0) mod 2e0", ["NaN"]),
+]
+
+
+def outcome(query, policy):
+    try:
+        return run_query_lines(query, policy=policy)
+    except EngineError as err:
+        return err.code
+
+
+def reference_outcome(query):
+    try:
+        items = reference_eval.evaluate_module(resolve(parse(query), set(CATALOG)))
+    except EngineError as err:
+        return err.code
+    return [canonical_serialize(item) for item in items]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("query,expected", CASES, ids=[q[-32:] for q, _ in CASES])
+def test_matches_reference(query, expected, policy):
+    assert outcome(query, policy) == expected
+    assert reference_outcome(query) == expected

@@ -14,10 +14,22 @@ from jsoniqml.modes import POLICIES
 
 FRAME_ROWS = 'annotate(for $i in 1 to 3 return {"a": $i}, {"a": "int"})'
 BAD_ROWS = 'annotate(for $i in 1 to 3 return {"a": if ($i eq 2) then "x" else $i}, {"a": "int"})'
+# string, null and record columns, on which a column kernel refuses
+MIXED_ROWS = (
+    'annotate(for $i in 1 to 3 return {"a": $i, "s": "x", "n": null, "r": {"k": $i}}, '
+    '{"a": "int", "s": "string", "n": "null", "r": {"k": "int"}})'
+)
 
 
 def _by_policy(auto, local, frame):
     return {"auto": auto, "force-local": local, "frame": frame}
+
+
+def _row_prefixed(code, position, message, row):
+    """The outcome under every policy of an error a lowered filter raises
+    for row `row`: only `auto` lowers, and so prefixes the row."""
+    local = (code, position, message)
+    return _by_policy((code, position, f"row {row}: {message}"), local, local)
 
 
 CASES = [
@@ -102,6 +114,23 @@ CASES = [
             ("VALIDATION_ERROR", (1, 7), "row 1: at $.a: cannot cast string to int"),
             ("VALIDATION_ERROR", (1, 7), "row 1: at $.a: cannot cast string to int"),
         ),
+    ),
+    (
+        f"count({MIXED_ROWS}[$$.s eq 1])",
+        _row_prefixed("TYPE_ERROR", (1, 154), "cannot compare string with integer", 0),
+    ),
+    (
+        # `and` short-circuits: rows 0 and 1 never compare the string
+        f"count({MIXED_ROWS}[$$.a gt 2 and $$.s eq 1])",
+        _row_prefixed("TYPE_ERROR", (1, 168), "cannot compare string with integer", 2),
+    ),
+    (
+        f"count({MIXED_ROWS}[$$.n lt 1])",
+        _row_prefixed("TYPE_ERROR", (1, 154), "cannot order null with lt", 0),
+    ),
+    (
+        f"count({MIXED_ROWS}[$$.r eq 1])",
+        _row_prefixed("TYPE_ERROR", (1, 154), "comparison requires an atomic value", 0),
     ),
 ]
 
