@@ -132,9 +132,11 @@ TRUE = AtomicValue("boolean", True)
 FALSE = AtomicValue("boolean", False)
 
 # `for ... at $p` binds these shared atoms for the positions they cover,
-# instead of building one atom per item
+# instead of building one atom per item, and `string()` of such a position
+# returns its shared string atom
 SHARED_POSITIONS = 1024
 POSITIONS = tuple([trusted_atomic("integer", i) for i in range(SHARED_POSITIONS)])
+POSITION_STRINGS = tuple([trusted_atomic("string", str(i)) for i in range(SHARED_POSITIONS)])
 
 
 @dataclass

@@ -12,8 +12,8 @@ The inferred mode of an iterator decides how its callable runs:
 
 - `local-one` returns the item itself, or None for the empty sequence.
   Parents that need one item (comparison, arithmetic, object keys and
-  values, effective boolean values, `string#1`, `for` bindings) call it
-  directly: no sequence box and no walk over a one-item stream.
+  values, effective boolean values, builtin arguments, `for` bindings) call
+  it directly: no sequence box and no walk over a one-item stream.
 - `local-seq` returns a `SequenceValue`, usually a lazy pull stream
   (volcano-style). Streams are materialized, under the cap, only at binding
   points: `let` clauses, user-function arguments, order-by collection and
@@ -27,6 +27,15 @@ The inferred mode of an iterator decides how its callable runs:
 The dynamic context is a plain dict from variable name to binding, with the
 predicate context item under `$$`. A `local-one` variable is bound to the bare
 item (or None), any other variable to a `SequenceValue` or a `Frame`.
+
+Builtins have one calling convention (see `builtins.py`). A static call
+evaluates every argument, then reads each with the reader its parameter
+declares, in the form picked at compile time from the argument's mode: a
+`local-one` argument is read from its bare item, so no sequence is built,
+and a one-argument builtin whose reader is the identity on it (`string#1`)
+is one direct call. The body returns the call's value in the call's mode: a
+`"one"` builtin its item or None. A builtin function item reads its boxed
+arguments with the sequence forms and boxes a `"one"` result.
 
 A lowered predicate or `where` (see `modes._lowerable`) is compiled twice:
 into the usual callable, and into a column kernel that applies the
@@ -43,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from types import MethodType
 from typing import Any, Callable, Optional
 
@@ -481,6 +490,12 @@ def _trunc_div(a, b) -> int:
     return q if (a >= 0) == (b >= 0) else -q
 
 
+# decimal `mod` runs in this context, where the remainder is exact: the
+# default one fails on a quotient of more than 28 digits and rounds a
+# remainder to 28
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
 def _ieee_div(a: float, b: float) -> float:
     if b == 0.0:
         if a == 0.0 or math.isnan(a):
@@ -514,9 +529,11 @@ def _arithmetic(op: str, left: AtomicValue, right: AtomicValue, pos) -> AtomicVa
                 )
             value = math.trunc(quotient)
         elif isinstance(a, Decimal) or isinstance(b, Decimal):
-            value = _trunc_div(a if isinstance(a, Decimal) else Decimal(a),
-                               b if isinstance(b, Decimal) else Decimal(b))
-            value = int(value)
+            # exact integer ratios: no decimal context limits the quotient,
+            # and no huge Decimal quotient has to be converted to an int
+            na, da = a.as_integer_ratio()
+            nb, db = b.as_integer_ratio()
+            value = _trunc_div(na * db, da * nb)
         else:
             value = _trunc_div(a, b)
         return trusted_atomic("integer", int(value))
@@ -526,9 +543,7 @@ def _arithmetic(op: str, left: AtomicValue, right: AtomicValue, pos) -> AtomicVa
         if isinstance(a, float) or isinstance(b, float):
             return trusted_atomic("double", _ieee_fmod(to_double(a), to_double(b)))
         if isinstance(a, Decimal) or isinstance(b, Decimal):
-            da = a if isinstance(a, Decimal) else Decimal(a)
-            db = b if isinstance(b, Decimal) else Decimal(b)
-            return trusted_atomic("decimal", da % db)
+            return trusted_atomic("decimal", _EXACT.remainder(Decimal(a), Decimal(b)))
         return trusted_atomic("integer", a - b * _trunc_div(a, b))
     # + - *
     apply = ADDITIVE[op]
@@ -875,35 +890,50 @@ def _compile_static_call(it, program):
     return _compile_user_call(it, program, program.functions[target.key])
 
 
-def _run_item_builtin(plan, ev, ctx):
-    item_fn, arg, pos = plan
+def _run_builtin_direct(plan, ev, ctx):
+    fn, it, arg = plan
     try:
-        return item_fn(arg(ev, ctx))
-    except DynamicError as err:
-        _locate(err, pos)
-        raise
-
-
-def _run_builtin(plan, ev, ctx):
-    fn, it, args, one = plan
-    try:
-        values = []
-        for arg, arg_one in args:
-            value = arg(ev, ctx)
-            values.append(_box(value) if arg_one else value)
-        result = fn(ev, it, ctx, values)
-        return result.first() if one else result
+        return fn(it, arg(ev, ctx))
     except DynamicError as err:
         _locate(err, it.node.pos)
         raise
 
 
+def _run_builtin1(plan, ev, ctx):
+    fn, it, arg, read = plan
+    try:
+        return fn(it, read(arg(ev, ctx)))
+    except DynamicError as err:
+        _locate(err, it.node.pos)
+        raise
+
+
+def _run_builtin2(plan, ev, ctx):
+    fn, it, arg0, read0, arg1, read1 = plan
+    try:
+        value0 = arg0(ev, ctx)
+        value1 = arg1(ev, ctx)
+        return fn(it, read0(value0), read1(value1))
+    except DynamicError as err:
+        _locate(err, it.node.pos)
+        raise
+
+
+# builtin call run functions by arity; the plan is the body, the call
+# iterator, then each argument's callable and reader
+_BUILTIN_RUNS = {1: _run_builtin1, 2: _run_builtin2}
+
+
 def _compile_builtin_call(it, program, spec):
-    one = it.mode == LOCAL_ONE
-    if spec.item_fn is not None and one and it.children[0].mode == LOCAL_ONE:
-        plan = (spec.item_fn, _compile(it.children[0], program), it.node.pos)
-        return MethodType(_run_item_builtin, plan)
-    return MethodType(_run_builtin, (spec.fn, it, _children_plan(it.children, program), one))
+    """Each argument's reader is chosen from its mode (see `builtins.py`): a
+    local-one argument reaches the body as its item or payload, unboxed."""
+    plan = [spec.fn, it]
+    for param, child in zip(spec.params, it.children):
+        plan.append(_compile(child, program))
+        plan.append(param.one if child.mode == LOCAL_ONE else param.seq)
+    if len(spec.params) == 1 and spec.params[0].direct and it.children[0].mode == LOCAL_ONE:
+        return MethodType(_run_builtin_direct, (spec.fn, it, plan[2]))
+    return MethodType(_BUILTIN_RUNS[len(spec.params)], tuple(plan))
 
 
 def _run_user_call(plan, ev, ctx):
@@ -938,19 +968,20 @@ def _run_user_fnref(key, ev, ctx):
     return ev.user_function_item(ev.tree.functions[key])
 
 
+def _invoke_builtin(plan, ev, args, pos):
+    """The body of a builtin function item: the arguments arrive boxed."""
+    fn, it, readers, one = plan
+    result = fn(it, *[read(arg) for read, arg in zip(readers, args)])
+    return _box(result) if one else result
+
+
 def _run_builtin_fnref(plan, ev, ctx):
-    fn, it, target = plan
-    name, _, arity = target.rpartition("#")
-    arity = int(arity)
-
-    def invoke(inner_ev, args, pos):
-        return fn(inner_ev, it, {}, args)
-
+    key, name, arity, invoke = plan
     return FunctionItem(
         name=name,
         param_names=tuple([f"arg{i}" for i in range(arity)]),
         signature=(None,) * arity + (None,),
-        native=NativeHandle(tag=f"builtin:{target}", invoke=invoke),
+        native=NativeHandle(tag=f"builtin:{key}", invoke=invoke),
     )
 
 
@@ -958,7 +989,11 @@ def _compile_fnref(it, program):
     target_kind, target = it.node.target
     if target_kind == "user":
         return MethodType(_run_user_fnref, target.key)
-    return MethodType(_run_builtin_fnref, (program.catalog[target].fn, it, target))
+    spec = program.catalog[target]
+    readers = tuple([param.seq for param in spec.params])
+    invoke = MethodType(_invoke_builtin, (spec.fn, it, readers, spec.result_mode == "one"))
+    name = target.rpartition("#")[0]
+    return MethodType(_run_builtin_fnref, (target, name, len(readers), invoke))
 
 
 _NOT_A_FUNCTION = "dynamic call target is not a single function item"
@@ -1067,8 +1102,9 @@ def _sort_key(atom: Optional[AtomicValue], pos):
     if atom is None:
         raise DynamicError("TYPE_ERROR", "order-by key must not be empty", pos)
     if atom.kind in NUMERIC_KINDS:
-        value = to_double(atom.value)
-        if math.isnan(value):
+        # int, Decimal and float compare exactly with one another in Python
+        value = atom.value
+        if value != value:
             raise DynamicError("TYPE_ERROR", "order-by key is NaN", pos)
         return ("n", value)
     cls = _SORT_CLASSES.get(atom.kind)

@@ -9,7 +9,7 @@ Only the builtins the query generator emits are implemented.
 from __future__ import annotations
 
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 from jsoniqml.ast_nodes import (
     ArrayConstructor,
@@ -48,6 +48,17 @@ from jsoniqml.items import (
     to_double,
 )
 from jsoniqml.resolver import ResolvedModule
+
+
+def exact_decimal_divmod(a, b):
+    """Truncated quotient and remainder of two numbers, one of them a Decimal,
+    in a context with room for the digits of both and the gap between their
+    exponents, so that neither is rounded."""
+    da, db = Decimal(a), Decimal(b)
+    ta, tb = da.as_tuple(), db.as_tuple()
+    with localcontext() as context:
+        context.prec = max(28, len(ta.digits) + len(tb.digits) + abs(ta.exponent - tb.exponent) + 2)
+        return divmod(da, db)
 
 
 class RefFunction:
@@ -206,7 +217,9 @@ class _Ref:
                 if atom is None:
                     raise DynamicError("TYPE_ERROR", "empty order key")
                 if atom.kind in NUMERIC_KINDS:
-                    key = ("n", to_double(atom.value))
+                    if atom.value != atom.value:
+                        raise DynamicError("TYPE_ERROR", "NaN order key")
+                    key = ("n", atom.value)  # int, Decimal and float compare exactly
                 elif atom.kind in ("string", "boolean", "date", "dateTime"):
                     key = (atom.kind, atom.value)
                 else:
@@ -306,9 +319,11 @@ class _Ref:
                 if math.isinf(quotient) or math.isnan(quotient):
                     raise DynamicError("RANGE_ERROR", "idiv quotient")
                 return [AtomicValue("integer", int(math.trunc(quotient)))]
+            if isinstance(a, Decimal) or isinstance(b, Decimal):
+                return [AtomicValue("integer", int(exact_decimal_divmod(a, b)[0]))]
             q = abs(a) // abs(b)
             q = q if (a >= 0) == (b >= 0) else -q
-            return [AtomicValue("integer", int(q))]
+            return [AtomicValue("integer", q)]
         if op == "mod":
             if to_double(b) == 0.0:
                 raise DynamicError("DIVISION_BY_ZERO", "mod")
@@ -318,9 +333,7 @@ class _Ref:
                 value = float("nan") if math.isinf(fa) else math.fmod(fa, fb)
                 return [AtomicValue("double", value)]
             if isinstance(a, Decimal) or isinstance(b, Decimal):
-                da = a if isinstance(a, Decimal) else Decimal(a)
-                db = b if isinstance(b, Decimal) else Decimal(b)
-                return [AtomicValue("decimal", da % db)]
+                return [AtomicValue("decimal", exact_decimal_divmod(a, b)[1])]
             q = abs(a) // abs(b)
             q = q if (a >= 0) == (b >= 0) else -q
             return [AtomicValue("integer", a - b * q)]

@@ -1,9 +1,11 @@
-"""Arithmetic and ordering on integers beyond the double range.
+"""Arithmetic and ordering on numbers beyond the double range or precision.
 
 An integer operand that meets a double converts to double; beyond the double
 range that conversion is an infinity, as in the cast table, and never a
 Python `OverflowError`. An infinite dividend of `mod` gives NaN, as IEEE 754
 does, and an `idiv` whose double quotient is not finite is a RANGE_ERROR.
+Decimal `idiv` and `mod` are exact however many digits the quotient or the
+remainder has, and `order by` compares numeric keys by their exact values.
 Each case runs under every mode policy and against the reference evaluator.
 """
 
@@ -29,12 +31,30 @@ CASES = [
     (BIG + "return $y + 1.5e0", ["INF"]),
     (BIG + "return $y idiv 2.5e0", "RANGE_ERROR"),
     (BIG + "return $y mod 2.5e0", ["NaN"]),
-    (BIG + "for $i in 1 to 2 order by $y * $i descending return $i", ["1", "2"]),
+    (BIG + "for $i in 1 to 2 order by $y * $i descending return $i", ["2", "1"]),
     (BIG + "return 1 idiv $y", ["0"]),
     (BIG + "return 1.5e0 mod $y", ["1.5"]),
     ("(1e0 div 0) idiv 1e0", "RANGE_ERROR"),
     ("(0e0 div 0) idiv 1e0", "RANGE_ERROR"),
     ("(1e0 div 0) mod 2e0", ["NaN"]),
+    # a quotient beyond the 28 digits of the default decimal context
+    ("100000000000000000000000000000000000 idiv 0.3", ["333333333333333333333333333333333333"]),
+    ("100000000000000000000000000000000000 mod 0.3", ["0.1"]),
+    ("(0 - 100000000000000000000000000000000000) idiv 0.3", ["-333333333333333333333333333333333333"]),
+    ("(0 - 100000000000000000000000000000000000) mod 0.3", ["-0.1"]),
+    (BIG + "return $y idiv 2.5", ["4" + "0" * 359]),
+    (BIG + "return $y mod 2.5", ["0.0"]),
+    # a remainder of more than 28 digits is not rounded
+    ("1.00000000000000000000000000001 mod 3", ["1.00000000000000000000000000001"]),
+    # distinct integers beyond 2^53 round to one double, but do not tie
+    ("for $i in 1 to 2 order by 9007199254740992 + (2 - $i) return $i", ["2", "1"]),
+    # the double 0.1 is a little more than the decimal 0.1
+    (
+        "for $i in 1 to 3 order by (if ($i eq 1) then 0.1 else if ($i eq 2) then 1e-1 else 0)"
+        " descending return $i",
+        ["2", "1", "3"],
+    ),
+    ("for $i in 1 to 2 order by 0e0 div 0 return $i", "TYPE_ERROR"),
 ]
 
 

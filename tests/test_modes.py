@@ -76,6 +76,21 @@ class TestPipelineTreeAssignments:
         assert prediction.mode == FRAME_MODE
         assert prediction.call_assumption == "transformer-frame"
 
+    def test_row_building_builtins_modes(self):
+        convert = compiled(PIPELINE_QUERY).tree.functions["local:convert#1"]
+        calls = {
+            it.node.name: it
+            for it in convert.body.walk()
+            if it.kind == "static-call" and it.node.name != "annotate"
+        }
+        # head($tokens) returns at most one item, so `$left` binds it bare
+        assert calls["head"].mode == LOCAL_ONE
+        assert calls["head"].children[0].mode == LOCAL_SEQ
+        assert calls["contains"].children[0].mode == LOCAL_ONE
+        assert calls["tail"].mode == LOCAL_SEQ
+        assert calls["tokenize"].mode == LOCAL_SEQ
+        assert calls["string"].mode == LOCAL_ONE
+
     def test_estimator_lookup_static_types(self):
         tree = compiled(PIPELINE_QUERY).tree
         get_calls = [
