@@ -208,12 +208,12 @@ def _check_model(item) -> None:
 
 
 def _bi_save_model(it, model, path):
-    save_model(model, path)
+    save_model(model, path, it.node.pos)
     return SequenceValue.empty()
 
 
 def _bi_load_model(it, path):
-    return load_model(path)
+    return load_model(path, it.node.pos)
 
 
 def _stage_params(role: str) -> tuple:

@@ -14,9 +14,19 @@ parses to. Local mode streams `validated_rows`, which builds each validated
 row through `validate_item`. Frame mode, `annotate_rows`, is a sink: each
 column builder's `put` checks one value (field count, names and kinds, in
 schema order) and casts it straight into the column's payload buffer, so no
-atom, object or array is built. A row a builder rejects is validated again
-by `validate_item`, so every error, with its `row i:` prefix and its path,
-is the validator's.
+atom, object or array is built. A record whose fields are all `double` (the
+paper's feature record) has one builder that casts a whole row with C-level
+`map`s into one row-major buffer when the row's values are all numerals that
+need no strip, or all doubles, and casts other rows field by field. A row a
+builder rejects is validated again by `validate_item`, so every error, with
+its `row i:` prefix and its path, is the validator's.
+
+Rows leave a frame through one reader per column type, `items(lo, hi)`: a
+scalar column turns one slice into Python values with `tolist` and builds
+the checked atoms, an array column slices its members by the offsets, and a
+record zips its children's items. `materialize` reads every row at once,
+`iter_items` reads chunks that double from one row, and `item_at`/`row_item`
+read one row.
 
 `frame_filter` keeps the rows for which a lowered condition holds. It runs
 the condition's column kernel first: numpy operations over only the columns
@@ -31,13 +41,16 @@ from __future__ import annotations
 
 import operator
 from array import array
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .errors import DynamicError, MaterializationCapError
 from .items import (
+    DOUBLE_RE,
     INTEGER_KINDS,
+    NULL,
     ArrayItem,
     AtomicValue,
     Item,
@@ -70,12 +83,21 @@ _ARRAY_TYPECODE = {
 
 
 # ---------------------------------------------------------------------------
-# Column vectors: each has a `type`, a length, `item_at` and `take`; a record
-# column is a `Frame`.
+# Column vectors: each has a `type`, a length, `items`, `item_at` and `take`;
+# a record column is a `Frame`. `items(lo, hi)` reads rows lo..hi-1 out as
+# items, a column at a time; every other read-out is a range of it.
 # ---------------------------------------------------------------------------
 
+# the most rows `Frame.iter_items` reads out at once
+_CHUNK = 256
 
-class ScalarColumn:
+
+class _Column:
+    def item_at(self, i: int) -> Item:
+        return self.items(i, i + 1)[0]
+
+
+class ScalarColumn(_Column):
     def __init__(self, ctype: FrameColumnType, values):
         self.type = ctype
         self.values = values  # numpy array, plain list, or int count for Null
@@ -85,14 +107,13 @@ class ScalarColumn:
             return self.values
         return len(self.values)
 
-    def item_at(self, i: int) -> Item:
-        kind = FRAME_TO_ATOMIC[self.type.kind]
+    def items(self, lo: int, hi: int) -> "list[AtomicValue]":
         if self.type.kind == "Null":
-            return AtomicValue("null", None)
-        v = self.values[i]
-        if isinstance(v, np.generic):
-            v = v.item()
-        return AtomicValue(kind, v)
+            return [NULL] * (hi - lo)
+        values = self.values[lo:hi]
+        if isinstance(values, np.ndarray):
+            values = values.tolist()  # Python scalars, as the atoms hold them
+        return list(map(AtomicValue, repeat(FRAME_TO_ATOMIC[self.type.kind]), values))
 
     def take(self, indices: np.ndarray) -> "ScalarColumn":
         if self.type.kind == "Null":
@@ -102,7 +123,7 @@ class ScalarColumn:
         return ScalarColumn(self.type, [self.values[i] for i in indices])
 
 
-class ArrayColumn:
+class ArrayColumn(_Column):
     def __init__(self, ctype: FrameColumnType, offsets: np.ndarray, flat):
         assert ctype.kind == "Array"
         self.type = ctype
@@ -112,9 +133,11 @@ class ArrayColumn:
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    def item_at(self, i: int) -> Item:
-        lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
-        return ArrayItem([self.flat.item_at(j) for j in range(lo, hi)])
+    def items(self, lo: int, hi: int) -> "list[ArrayItem]":
+        offsets = self.offsets[lo : hi + 1].tolist()
+        base = offsets[0]
+        members = self.flat.items(base, offsets[-1])
+        return [ArrayItem(members[a - base : b - base]) for a, b in zip(offsets, offsets[1:])]
 
     def take(self, indices: np.ndarray) -> "ArrayColumn":
         starts = self.offsets[indices]
@@ -127,7 +150,7 @@ class ArrayColumn:
         return ArrayColumn(self.type, new_offsets, self.flat.take(flat_idx))
 
 
-class Frame:
+class Frame(_Column):
     """Named columns of equal length under a record type: the top level of an
     annotated sequence, and every record column nested in it."""
 
@@ -140,16 +163,24 @@ class Frame:
     def __len__(self) -> int:
         return self.nrows
 
-    def item_at(self, i: int) -> ObjectItem:
-        return ObjectItem({name: col.item_at(i) for name, col in self.children})
+    def items(self, lo: int, hi: int) -> "list[ObjectItem]":
+        if not self.children:
+            return [ObjectItem({}) for _ in range(lo, hi)]
+        names = [name for name, _ in self.children]
+        columns = [column.items(lo, hi) for _, column in self.children]
+        return [ObjectItem(dict(zip(names, row))) for row in zip(*columns)]
 
-    # a row of the top level is read through `row_item` and a nested record
-    # through `item_at`, so that perfbench/tracing.py can count row reads
-    row_item = item_at
+    # one row of the top level, for the per-row filter path; perfbench/tracing.py
+    # counts the calls
+    row_item = _Column.item_at
 
     def iter_items(self) -> Iterator[ObjectItem]:
-        for i in range(self.nrows):
-            yield self.row_item(i)
+        # chunks double from one row, so a consumer that stops early reads little
+        lo, size = 0, 1
+        while lo < self.nrows:
+            hi = min(lo + size, self.nrows)
+            yield from self.items(lo, hi)
+            lo, size = hi, min(2 * size, _CHUNK)
 
     def count(self) -> int:
         return self.nrows
@@ -158,7 +189,7 @@ class Frame:
         """The rows as objects; a frame of more than `cap` rows raises."""
         if self.nrows > cap:
             raise MaterializationCapError(cap)
-        return list(self.iter_items())
+        return self.items(0, self.nrows)
 
     def take(self, indices: np.ndarray) -> "Frame":
         return Frame(self.type, [(n, c.take(indices)) for n, c in self.children], len(indices))
@@ -260,10 +291,68 @@ class _RecordBuilder:
         return Frame(self.ctype, [(n, b.finish()) for n, b in self.children], self.count)
 
 
+_ATOMS_ONLY = frozenset({AtomicValue})
+_STRINGS_ONLY = frozenset({"string"})
+_DOUBLES_ONLY = frozenset({"double"})
+_KIND = operator.attrgetter("kind")
+_VALUE = operator.attrgetter("value")
+
+
+class _DoubleRecordBuilder:
+    """A record whose fields are all `double`, cast a row at a time into one
+    row-major buffer. A row of numerals that `items.DOUBLE_RE` takes as they
+    stand, or of double atoms, is one `extend`; any other row is cast field by
+    field, as `_ScalarBuilder` casts."""
+
+    def __init__(self, ctype: FrameColumnType):
+        self.ctype = ctype
+        self.names = [name for name, _ in ctype.fields]
+        self.values = array("d")
+        self.count = 0
+
+    def put(self, item: Item) -> bool:
+        if item.__class__ is not ObjectItem or len(item.pairs) != len(self.names):
+            return False
+        atoms = list(map(item.pairs.get, self.names))  # None for a missing field
+        if set(map(type, atoms)) == _ATOMS_ONLY:
+            kinds = set(map(_KIND, atoms))
+            if kinds == _STRINGS_ONLY:
+                texts = list(map(_VALUE, atoms))
+                if all(map(DOUBLE_RE.fullmatch, texts)):
+                    self.values.extend(map(float, texts))
+                    self.count += 1
+                    return True
+            elif kinds == _DOUBLES_ONLY:
+                self.values.extend(map(_VALUE, atoms))
+                self.count += 1
+                return True
+        append = self.values.append
+        for atom in atoms:
+            if atom.__class__ is not AtomicValue:
+                return False
+            try:
+                append(cast_value(atom.kind, atom.value, "double"))
+            except DynamicError:
+                return False
+        self.count += 1
+        return True
+
+    def finish(self) -> Frame:
+        # each column is a strided view of the (rows, fields) matrix
+        matrix = np.frombuffer(self.values, dtype=np.float64).reshape(self.count, len(self.names))
+        children = [
+            (name, ScalarColumn(ctype, matrix[:, j]))
+            for j, (name, ctype) in enumerate(self.ctype.fields)
+        ]
+        return Frame(self.ctype, children, self.count)
+
+
 def make_builder(ctype: FrameColumnType):
     if ctype.kind == "Array":
         return _ArrayBuilder(ctype)
     if ctype.kind == "Record":
+        if ctype.fields and all(t.kind == "Double" for _, t in ctype.fields):
+            return _DoubleRecordBuilder(ctype)
         return _RecordBuilder(ctype)
     return _ScalarBuilder(ctype)
 
@@ -310,7 +399,7 @@ def annotate_rows(rows: "Iterable[Item]", descriptor: Item) -> Frame:
     the builders reject is validated again, to raise the validator's error.
     """
     record = annotate_schema(descriptor)
-    builder = _RecordBuilder(record)
+    builder = make_builder(record)
     put = builder.put
     for i, row in enumerate(rows):
         if not put(row):

@@ -5,6 +5,10 @@ is a single item or a pull stream; a `frame`-mode value is instead the
 columnar `Frame` itself (see `frame.py`), which answers the same `iter_items`,
 `count` and `materialize` calls. Items are immutable after construction and
 safe to share; stream payloads backed by a raw iterator are single-consumer.
+
+`canonical_serialize` writes an item's JSON text in one pass, appending
+every piece to one list, and quotes strings with `json`'s C escaper, which
+escapes exactly `"`, `\\` and the control characters below U+0020.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import sys
 from dataclasses import dataclass
 from datetime import date, datetime
 from decimal import Decimal
+from json.encoder import encode_basestring as _quote
 from typing import Any, Iterable, Iterator, Optional, Union
 
 from .errors import DynamicError, MaterializationCapError
@@ -293,20 +298,6 @@ class SequenceValue:
 # Canonical serialization
 # ---------------------------------------------------------------------------
 
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
-
-
-def _escape_string(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return '"' + "".join(out) + '"'
-
 
 def render_double(value: float) -> str:
     """Shortest round-trip decimal form; NaN/INF/-INF as bare tokens."""
@@ -350,22 +341,49 @@ def render_atomic(av: AtomicValue) -> str:
     raise AssertionError(kind)
 
 
+# kinds whose text is quoted in the canonical form
+_QUOTED_KINDS = frozenset({"string", "date", "dateTime", "hexBinary"})
+
+
 def canonical_serialize(item: Item) -> str:
     """Deterministic textual JSON form; function items are not serializable."""
-    if isinstance(item, AtomicValue):
-        if item.kind in ("string", "date", "dateTime", "hexBinary"):
-            return _escape_string(render_atomic(item))
-        return render_atomic(item)
-    if isinstance(item, ObjectItem):
-        parts = ", ".join(
-            f"{_escape_string(k)}: {canonical_serialize(v)}" for k, v in item.pairs.items()
-        )
-        return "{" + parts + "}"
-    if isinstance(item, ArrayItem):
-        return "[" + ", ".join(canonical_serialize(m) for m in item.members) + "]"
-    if isinstance(item, FunctionItem):
+    out: "list[str]" = []
+    _serialize_into(item, out.append)
+    return "".join(out)
+
+
+def _serialize_into(item: Item, put) -> None:
+    cls = item.__class__
+    if cls is AtomicValue:
+        kind = item.kind
+        if kind == "string":
+            put(_quote(item.value))
+        elif kind == "double":
+            put(render_double(item.value))
+        elif kind in _QUOTED_KINDS:
+            put(_quote(render_atomic(item)))
+        else:
+            put(render_atomic(item))
+    elif cls is ObjectItem:
+        separator = "{"
+        for key, value in item.pairs.items():
+            put(separator)
+            put(_quote(key))
+            put(": ")
+            _serialize_into(value, put)
+            separator = ", "
+        put("}" if separator == ", " else "{}")
+    elif cls is ArrayItem:
+        separator = "["
+        for member in item.members:
+            put(separator)
+            _serialize_into(member, put)
+            separator = ", "
+        put("]" if separator == ", " else "[]")
+    elif cls is FunctionItem:
         raise DynamicError("SERIALIZE_FUNCTION", "function items cannot be serialized")
-    raise AssertionError(type(item))
+    else:
+        raise AssertionError(cls)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +606,9 @@ def item_ebv(item: "Optional[Item]") -> bool:
 # Atomic casts
 # ---------------------------------------------------------------------------
 
-_DOUBLE_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
+# the numerals a string casts to double by (`float` of the stripped text);
+# `frame.py` batches the rows whose numerals need no strip
+DOUBLE_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _INTEGER_RE = re.compile(r"[+-]?\d+")
 _DECIMAL_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)")
 
@@ -599,7 +619,7 @@ def _cast_error(code: str, msg: str):
 
 def _parse_double(text: str) -> float:
     t = text.strip()
-    if _DOUBLE_RE.fullmatch(t):
+    if DOUBLE_RE.fullmatch(t):
         return float(t)
     if t == "NaN":
         return float("nan")

@@ -27,17 +27,26 @@ from .registry import (
 _FROZEN_KEYS = ("kind", "params", "weights", "intercept")
 
 
-def save_model(model: FunctionItem, path) -> None:
+def _model_path(path, verb: str, pos) -> Path:
+    # Path("") would name the current directory
+    if path == "":
+        raise SourceIOError(f"cannot {verb} model: the path is empty", pos)
+    return Path(path)
+
+
+def save_model(model: FunctionItem, path, pos=None) -> None:
+    """Write the model's document to `path`; an I/O error is located at `pos`."""
     handle = getattr(model, "native", None)
     if handle is None or not handle.tag.startswith("model:") or handle.artifact is None:
         raise DynamicError(
             "UNKNOWN_MODEL_KIND", "only registry-created models can be persisted"
         )
     document = artifact_to_dict(handle.artifact)
+    target = _model_path(path, "write", pos)
     try:
-        Path(path).write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
+        target.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
     except OSError as err:
-        raise SourceIOError(f"cannot write model to {path}: {err}") from err
+        raise SourceIOError(f"cannot write model to {path}: {err}", pos) from err
 
 
 def _malformed(message: str) -> DynamicError:
@@ -115,11 +124,13 @@ def _item_from_dict(document: dict) -> FunctionItem:
     return make_model_item(artifact)
 
 
-def load_model(path) -> FunctionItem:
+def load_model(path, pos=None) -> FunctionItem:
+    """The model whose document is at `path`; an I/O error is located at `pos`."""
+    source = _model_path(path, "read", pos)
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = source.read_text(encoding="utf-8")
     except OSError as err:
-        raise SourceIOError(f"cannot read model from {path}: {err}") from err
+        raise SourceIOError(f"cannot read model from {path}: {err}", pos) from err
     try:
         document = json.loads(text)
     except json.JSONDecodeError as err:

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DecimalException
 from types import MethodType
 from typing import Any, Callable, Optional
 
@@ -490,10 +490,25 @@ def _trunc_div(a, b) -> int:
     return q if (a >= 0) == (b >= 0) else -q
 
 
-# decimal `mod` runs in this context, where the remainder is exact: the
-# default one fails on a quotient of more than 28 digits and rounds a
-# remainder to 28
+# decimal `+ - * mod` run in this context, where every result is exact: the
+# default one rounds to 28 digits, fails on a quotient of more than 28 digits
+# and overflows beyond an exponent of 999999
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_DECIMAL_OPS = {
+    "+": Context.add,
+    "-": Context.subtract,
+    "*": Context.multiply,
+    "mod": Context.remainder,
+}
+
+
+def _exact_decimal(op: str, a, b, pos) -> AtomicValue:
+    try:
+        return trusted_atomic("decimal", _DECIMAL_OPS[op](_EXACT, Decimal(a), Decimal(b)))
+    except DecimalException as err:  # only past the context's precision or exponent limits
+        raise DynamicError(
+            "RANGE_ERROR", f"decimal {op} is beyond the decimal range ({type(err).__name__})", pos
+        ) from err
 
 
 def _ieee_div(a: float, b: float) -> float:
@@ -543,16 +558,14 @@ def _arithmetic(op: str, left: AtomicValue, right: AtomicValue, pos) -> AtomicVa
         if isinstance(a, float) or isinstance(b, float):
             return trusted_atomic("double", _ieee_fmod(to_double(a), to_double(b)))
         if isinstance(a, Decimal) or isinstance(b, Decimal):
-            return trusted_atomic("decimal", _EXACT.remainder(Decimal(a), Decimal(b)))
+            return _exact_decimal(op, a, b, pos)
         return trusted_atomic("integer", a - b * _trunc_div(a, b))
     # + - *
     apply = ADDITIVE[op]
     if isinstance(a, float) or isinstance(b, float):
         return trusted_atomic("double", apply(to_double(a), to_double(b)))
     if isinstance(a, Decimal) or isinstance(b, Decimal):
-        da = a if isinstance(a, Decimal) else Decimal(a)
-        db = b if isinstance(b, Decimal) else Decimal(b)
-        return trusted_atomic("decimal", apply(da, db))
+        return _exact_decimal(op, a, b, pos)
     return trusted_atomic("integer", apply(a, b))
 
 

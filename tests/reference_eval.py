@@ -9,7 +9,7 @@ Only the builtins the query generator emits are implemented.
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 from jsoniqml.ast_nodes import (
     ArrayConstructor,
@@ -50,15 +50,17 @@ from jsoniqml.items import (
 from jsoniqml.resolver import ResolvedModule
 
 
-def exact_decimal_divmod(a, b):
-    """Truncated quotient and remainder of two numbers, one of them a Decimal,
-    in a context with room for the digits of both and the gap between their
-    exponents, so that neither is rounded."""
+def exact_decimal(fn, a, b):
+    """`fn` of two numbers, one of them a Decimal, in a context with room for
+    the digits of both and the gap between their exponents, and for any
+    exponent, so that no sum, difference, product, quotient or remainder is
+    rounded or overflows."""
     da, db = Decimal(a), Decimal(b)
     ta, tb = da.as_tuple(), db.as_tuple()
     with localcontext() as context:
         context.prec = max(28, len(ta.digits) + len(tb.digits) + abs(ta.exponent - tb.exponent) + 2)
-        return divmod(da, db)
+        context.Emax, context.Emin = MAX_EMAX, MIN_EMIN
+        return fn(da, db)
 
 
 class RefFunction:
@@ -320,7 +322,7 @@ class _Ref:
                     raise DynamicError("RANGE_ERROR", "idiv quotient")
                 return [AtomicValue("integer", int(math.trunc(quotient)))]
             if isinstance(a, Decimal) or isinstance(b, Decimal):
-                return [AtomicValue("integer", int(exact_decimal_divmod(a, b)[0]))]
+                return [AtomicValue("integer", int(exact_decimal(divmod, a, b)[0]))]
             q = abs(a) // abs(b)
             q = q if (a >= 0) == (b >= 0) else -q
             return [AtomicValue("integer", q)]
@@ -333,7 +335,7 @@ class _Ref:
                 value = float("nan") if math.isinf(fa) else math.fmod(fa, fb)
                 return [AtomicValue("double", value)]
             if isinstance(a, Decimal) or isinstance(b, Decimal):
-                return [AtomicValue("decimal", exact_decimal_divmod(a, b)[1])]
+                return [AtomicValue("decimal", exact_decimal(divmod, a, b)[1])]
             q = abs(a) // abs(b)
             q = q if (a >= 0) == (b >= 0) else -q
             return [AtomicValue("integer", a - b * q)]
@@ -341,9 +343,7 @@ class _Ref:
         if isinstance(a, float) or isinstance(b, float):
             return [AtomicValue("double", fn(to_double(a), to_double(b)))]
         if isinstance(a, Decimal) or isinstance(b, Decimal):
-            da = a if isinstance(a, Decimal) else Decimal(a)
-            db = b if isinstance(b, Decimal) else Decimal(b)
-            return [AtomicValue("decimal", fn(da, db))]
+            return [AtomicValue("decimal", exact_decimal(fn, a, b))]
         return [AtomicValue("integer", fn(a, b))]
 
     def builtin(self, name, args):

@@ -4,12 +4,15 @@ accepts, build the same values, and raise the validator's error, code and
 full message, for the first row the validator rejects."""
 
 from decimal import Decimal
+from unittest import mock
 
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import given, settings
 
+import jsoniqml.frame as frame_module
 from jsoniqml.errors import DynamicError
-from jsoniqml.frame import annotate_rows, validated_rows
+from jsoniqml.frame import ArrayColumn, Frame, annotate_rows, validated_rows
 from jsoniqml.items import ArrayItem, AtomicValue, ObjectItem, from_py
 from jsoniqml.schema import parse_schema
 
@@ -191,3 +194,129 @@ def test_decimal_scale_and_signed_zero_survive():
         "Decimal('1.50')",
         "Decimal('2.000')",
     ]
+
+
+# -- records of double fields only ------------------------------------------------
+#
+# A record whose fields are all `double` casts a row at a time into one buffer.
+# It must build what the per-field builders build (`frame._RecordBuilder` over
+# one scalar builder per field), and raise the validator's error where they do.
+
+_WIDE = [str(i) for i in range(1, 9)]
+_CLEAN_NUMERAL = st.builds("{}{}{}".format, _SIGN, _MANTISSA, _EXPONENT)
+_PADDED_NUMERAL = st.builds("{}{}{}".format, _WS, _CLEAN_NUMERAL, _WS)
+_ODD_TEXT = st.sampled_from(["NaN", "INF", "-INF", " NaN ", "inf", "1_0", "0x10", "-inf", ""])
+# numerals as they stand, mostly, for rows of string atoms only
+_STRING_FIELD = st.builds(
+    AtomicValue,
+    st.just("string"),
+    st.one_of(_CLEAN_NUMERAL, _CLEAN_NUMERAL, _CLEAN_NUMERAL, _PADDED_NUMERAL, _ODD_TEXT),
+)
+_DOUBLE_FIELD = st.one_of(
+    _STRING_FIELD,
+    st.builds(AtomicValue, st.just("double"), st.floats(width=64)),
+    st.builds(AtomicValue, st.just("integer"), st.integers(-(10**400), 10**400)),
+    st.builds(AtomicValue, st.just("long"), st.integers(-(2**63), 2**63 - 1)),
+    st.builds(
+        AtomicValue,
+        st.just("decimal"),
+        st.decimals(allow_nan=False, allow_infinity=False, places=4, min_value=-10, max_value=10),
+    ),
+    st.builds(AtomicValue, st.just("boolean"), st.booleans()),
+    st.just(AtomicValue("null", None)),
+    st.builds(AtomicValue, st.just("date"), st.dates()),
+    st.just(ArrayItem([AtomicValue("string", "1.0")])),
+    st.just(ObjectItem({})),
+)
+# whole rows of one shape, which is what the batch takes, or of mixed fields
+_UNIFORM_ROW = st.one_of(
+    st.lists(st.builds(AtomicValue, st.just("string"), _CLEAN_NUMERAL), min_size=8, max_size=8),
+    st.lists(_STRING_FIELD, min_size=8, max_size=8),
+    st.lists(st.builds(AtomicValue, st.just("double"), st.floats(width=64)), min_size=8, max_size=8),
+    st.lists(_DOUBLE_FIELD, min_size=8, max_size=8),
+)
+_WIDE_FAULTS = {
+    None: lambda pairs: pairs,
+    "missing field": lambda pairs: {k: v for k, v in pairs.items() if k != "5"},
+    "extra field": lambda pairs: {**pairs, "9": AtomicValue("string", "1")},
+    "renamed field": lambda pairs: {
+        **{k: v for k, v in pairs.items() if k != "8"}, "x": pairs["8"]
+    },
+    "null field": lambda pairs: {**pairs, "3": AtomicValue("null", None)},
+}
+_WIDE_ROW = st.one_of(
+    st.builds(
+        lambda values, fault: ObjectItem(_WIDE_FAULTS[fault](dict(zip(_WIDE, values)))),
+        _UNIFORM_ROW,
+        # most rows carry no fault
+        st.one_of(st.none(), st.none(), st.none(), st.sampled_from(list(_WIDE_FAULTS))),
+    ),
+    st.sampled_from([AtomicValue("string", "1.0"), ArrayItem([]), AtomicValue("null", None)]),
+)
+
+
+def _per_field_make_builder(ctype):
+    """`frame.make_builder` without the double-record builder."""
+    if ctype.kind == "Array":
+        return frame_module._ArrayBuilder(ctype)
+    if ctype.kind == "Record":
+        return frame_module._RecordBuilder(ctype)
+    return frame_module._ScalarBuilder(ctype)
+
+
+def _per_field_frame(rows, descriptor):
+    """`annotate_rows` with the per-field builders: the oracle."""
+    with mock.patch.object(frame_module, "make_builder", _per_field_make_builder):
+        return annotate_rows(rows, descriptor)
+
+
+def _payloads(column) -> list:
+    """Each column's kind and the repr of each payload, depth first."""
+    if column.__class__ is Frame:
+        return [("Record", column.nrows)] + [
+            (name, _payloads(child)) for name, child in column.children
+        ]
+    if column.__class__ is ArrayColumn:
+        return [("Array", column.offsets.tolist()), _payloads(column.flat)]
+    values = column.values
+    if isinstance(values, np.ndarray):
+        if column.type.kind == "Double":
+            assert values.dtype == np.float64
+        values = values.tolist()
+    return [column.type.kind, [repr(v) for v in values] if isinstance(values, list) else values]
+
+
+@settings(max_examples=300)
+@given(st.lists(_WIDE_ROW, min_size=1, max_size=6), st.booleans())
+def test_double_record_batch_agrees_with_per_field_builders(rows, nested):
+    schema = {name: "double" for name in _WIDE}
+    if nested:
+        schema = {"label": "string", "features": schema}
+        rows = [ObjectItem({"label": AtomicValue("string", "a"), "features": r}) for r in rows]
+    descriptor = from_py(schema)
+
+    kind, expected = _outcome(lambda: _per_field_frame(iter(rows), descriptor))
+    got_kind, got = _outcome(lambda: annotate_rows(iter(rows), descriptor))
+    assert got_kind == kind, (expected, got)
+    if kind == "error":
+        assert got == expected
+        return
+    assert got.type == expected.type
+    assert _payloads(got) == _payloads(expected)
+    back = list(validated_rows(iter(rows), parse_schema(descriptor)))
+    assert all(_same(a, b) for a, b in zip(got.iter_items(), back))
+
+
+def test_double_record_batch_takes_rows_of_one_shape():
+    descriptor = from_py({"a": "double", "b": "double"})
+    rows = [
+        from_py({"a": "1.5", "b": "-2e3"}),
+        from_py({"a": 0.25, "b": -0.0}),
+        from_py({"a": " 7 ", "b": "INF"}),  # cast field by field
+        from_py({"b": "1", "a": 2}),
+    ]
+    builder = frame_module.make_builder(parse_schema(descriptor))
+    assert builder.__class__ is frame_module._DoubleRecordBuilder
+    frame = annotate_rows(iter(rows), descriptor)
+    assert [repr(v) for v in frame.column("a").values.tolist()] == ["1.5", "0.25", "7.0", "2.0"]
+    assert [repr(v) for v in frame.column("b").values.tolist()] == ["-2000.0", "-0.0", "inf", "1.0"]

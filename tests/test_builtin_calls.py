@@ -315,8 +315,8 @@ ROWS = [
     (
         'save-model#2',
         '$model, ()',
-        ('IO_ERROR', None, "cannot write model to : [Errno 21] Is a directory: '.'"),
-        ('IO_ERROR', None, "cannot write model to : [Errno 21] Is a directory: '.'"),
+        ('IO_ERROR', (1, 1), 'cannot write model: the path is empty'),
+        ('IO_ERROR', (1, 11), 'cannot write model: the path is empty'),
     ),
     (
         'save-model#2',
@@ -339,8 +339,8 @@ ROWS = [
     (
         'load-model#1',
         '()',
-        ('IO_ERROR', None, "cannot read model from : [Errno 21] Is a directory: '.'"),
-        ('IO_ERROR', None, "cannot read model from : [Errno 21] Is a directory: '.'"),
+        ('IO_ERROR', (1, 1), 'cannot read model: the path is empty'),
+        ('IO_ERROR', (1, 11), 'cannot read model: the path is empty'),
     ),
     (
         'load-model#1',

@@ -105,6 +105,23 @@ class TestSaveLoad:
         with pytest.raises(SourceIOError):
             save_model(model, tmp_path)  # a directory, not a file
 
+    def test_io_errors_are_located_at_the_call(self, tmp_path):
+        from jsoniqml import run_query
+        from jsoniqml.errors import SourceIOError
+
+        model, _ = svc_model()
+        queries = [
+            f'let $x := 1 return load-model("{tmp_path / "missing.json"}")',
+            f'let $x := 1 return save-model($model, "{tmp_path}")',
+            'let $x := 1 return load-model("")',
+            'let $x := 1 return save-model($model, "")',
+        ]
+        for query in queries:
+            with pytest.raises(SourceIOError) as err:
+                run_query(query, {"model": model})
+            assert err.value.position == (1, 20), query
+        assert list(tmp_path.iterdir()) == []
+
     def test_unfitted_transformer_not_saveable(self, tmp_path):
         va = get_transformer(
             AtomicValue("string", "VectorAssembler"),
