@@ -16,8 +16,8 @@ column builder's `put` checks one value (field count, names and kinds, in
 schema order) and casts it straight into the column's payload buffer, so no
 atom, object or array is built. A record whose fields are all `double` (the
 paper's feature record) has one builder that casts a whole row with C-level
-`map`s into one row-major buffer when the row's values are all numerals that
-need no strip, or all doubles, and casts other rows field by field. A row a
+`map`s into one row-major buffer when the row's values are all string
+numerals that need no strip, and casts other rows field by field. A row a
 builder rejects is validated again by `validate_item`, so every error, with
 its `row i:` prefix and its path, is the validator's.
 
@@ -293,16 +293,15 @@ class _RecordBuilder:
 
 _ATOMS_ONLY = frozenset({AtomicValue})
 _STRINGS_ONLY = frozenset({"string"})
-_DOUBLES_ONLY = frozenset({"double"})
 _KIND = operator.attrgetter("kind")
 _VALUE = operator.attrgetter("value")
 
 
 class _DoubleRecordBuilder:
     """A record whose fields are all `double`, cast a row at a time into one
-    row-major buffer. A row of numerals that `items.DOUBLE_RE` takes as they
-    stand, or of double atoms, is one `extend`; any other row is cast field by
-    field, as `_ScalarBuilder` casts."""
+    row-major buffer. A row of string numerals that `items.DOUBLE_RE` takes as
+    they stand is one `extend`; any other row is cast field by field, as
+    `_ScalarBuilder` casts."""
 
     def __init__(self, ctype: FrameColumnType):
         self.ctype = ctype
@@ -314,16 +313,10 @@ class _DoubleRecordBuilder:
         if item.__class__ is not ObjectItem or len(item.pairs) != len(self.names):
             return False
         atoms = list(map(item.pairs.get, self.names))  # None for a missing field
-        if set(map(type, atoms)) == _ATOMS_ONLY:
-            kinds = set(map(_KIND, atoms))
-            if kinds == _STRINGS_ONLY:
-                texts = list(map(_VALUE, atoms))
-                if all(map(DOUBLE_RE.fullmatch, texts)):
-                    self.values.extend(map(float, texts))
-                    self.count += 1
-                    return True
-            elif kinds == _DOUBLES_ONLY:
-                self.values.extend(map(_VALUE, atoms))
+        if set(map(type, atoms)) == _ATOMS_ONLY and set(map(_KIND, atoms)) == _STRINGS_ONLY:
+            texts = list(map(_VALUE, atoms))
+            if all(map(DOUBLE_RE.fullmatch, texts)):
+                self.values.extend(map(float, texts))
                 self.count += 1
                 return True
         append = self.values.append

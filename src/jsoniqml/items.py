@@ -356,9 +356,7 @@ def _serialize_into(item: Item, put) -> None:
     cls = item.__class__
     if cls is AtomicValue:
         kind = item.kind
-        if kind == "string":
-            put(_quote(item.value))
-        elif kind == "double":
+        if kind == "double":  # the feature record: most atoms are doubles
             put(render_double(item.value))
         elif kind in _QUOTED_KINDS:
             put(_quote(render_atomic(item)))
