@@ -21,6 +21,14 @@ numerals that need no strip, and casts other rows field by field. A row a
 builder rejects is validated again by `validate_item`, so every error, with
 its `row i:` prefix and its path, is the validator's.
 
+A batched annotate (`annotate_batches`) takes its rows a batch at a time as a
+record vector: the column vectors of the fields, built by the row-building
+vector operations at the end of this module. Each builder's `stage` checks
+and casts a whole column of the batch, and the batch is committed only when
+every column stages; it refuses, leaving the batch to `put` row by row,
+wherever a row's cast could fail or differ from `put`'s. So a batch that
+lands holds no invalid row, and errors stay the validator's.
+
 Rows leave a frame through one reader per column type, `items(lo, hi)`: a
 scalar column turns one slice into Python values with `tolist` and builds
 the checked atoms, an array column slices its members by the offsets, and a
@@ -41,7 +49,8 @@ from __future__ import annotations
 
 import operator
 from array import array
-from itertools import repeat
+from functools import partial
+from itertools import accumulate, chain, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
@@ -49,6 +58,7 @@ import numpy as np
 from .errors import DynamicError, MaterializationCapError
 from .items import (
     DOUBLE_RE,
+    INT_BOUNDS,
     INTEGER_KINDS,
     NULL,
     ArrayItem,
@@ -235,6 +245,9 @@ class _ScalarBuilder:
             return False
         return True
 
+    def stage(self, vector: tuple, n: int):
+        return partial(self.values.extend, _column_payloads(vector, n, self.target))
+
     def finish(self) -> ScalarColumn:
         if self.ctype.kind == "Null":
             return ScalarColumn(self.ctype, len(self.values))
@@ -259,6 +272,9 @@ class _ArrayBuilder:
                 return False
         self.offsets.append(self.offsets[-1] + len(item.members))
         return True
+
+    def stage(self, vector: tuple, n: int):
+        raise Refused  # no row-building kernel makes an array item
 
     def finish(self) -> ArrayColumn:
         return ArrayColumn(
@@ -287,6 +303,22 @@ class _RecordBuilder:
         self.count += 1
         return True
 
+    def stage(self, vector: tuple, n: int):
+        # exactly the declared fields, as `put` takes them
+        kind, fields = vector
+        if kind != "object" or len(fields) != len(self.children):
+            raise Refused
+        columns = [fields.get(name) for name, _ in self.children]
+        if None in columns:
+            raise Refused
+        commits = [b.stage(column, n) for (_, b), column in zip(self.children, columns)]
+        return partial(self._commit, commits, n)
+
+    def _commit(self, commits: list, n: int) -> None:
+        for commit in commits:
+            commit()
+        self.count += n
+
     def finish(self) -> Frame:
         return Frame(self.ctype, [(n, b.finish()) for n, b in self.children], self.count)
 
@@ -306,6 +338,8 @@ class _DoubleRecordBuilder:
     def __init__(self, ctype: FrameColumnType):
         self.ctype = ctype
         self.names = [name for name, _ in ctype.fields]
+        # the field names of a positional record vector
+        self.positional = self.names == [str(i) for i in range(1, len(self.names) + 1)]
         self.values = array("d")
         self.count = 0
 
@@ -330,6 +364,20 @@ class _DoubleRecordBuilder:
         self.count += 1
         return True
 
+    def stage(self, vector: tuple, n: int):
+        # the rows' members, when every row has one per field, are the fields
+        # "1".."k" in order; the same check and cast as `put`'s batch of a row
+        if vector[0] != "positional" or not self.positional:
+            raise Refused
+        texts = _positional_members(vector[1], len(self.names))
+        if not all(map(DOUBLE_RE.fullmatch, texts)):
+            raise Refused
+        return partial(self._commit, texts, n)
+
+    def _commit(self, texts: list, n: int) -> None:
+        self.values.extend(map(float, texts))
+        self.count += n
+
     def finish(self) -> Frame:
         # each column is a strided view of the (rows, fields) matrix
         matrix = np.frombuffer(self.values, dtype=np.float64).reshape(self.count, len(self.names))
@@ -338,6 +386,43 @@ class _DoubleRecordBuilder:
             for j, (name, ctype) in enumerate(self.ctype.fields)
         ]
         return Frame(self.ctype, children, self.count)
+
+
+def _positional_members(value: tuple, k: int) -> list:
+    """The members of a positional record vector's rows, row-major; Refused
+    unless every row has exactly `k`."""
+    starts, stops, flat = value
+    if any(b - a != k for a, b in zip(starts, stops)):
+        raise Refused  # a missing or an undeclared field
+    members: list = []
+    for a in starts:
+        members += flat[a : a + k]
+    return members
+
+
+def _column_payloads(vector: tuple, n: int, target: str) -> list:
+    """What `put` appends for each of `n` rows' values, cast to `target`,
+    from a scalar vector; Refused wherever a row's cast is not one of these
+    or could fail."""
+    kind, values = vector
+    if kind in _OPAQUE:
+        raise Refused
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    else:
+        values = [values] * n  # a literal: the same value in every row
+    if kind == "string":
+        if target == "string":
+            return values
+        if target == "double" and all(map(DOUBLE_RE.fullmatch, values)):
+            return list(map(float, values))
+    elif kind == "int":
+        if target == "string":
+            return [render_atomic(trusted_atomic("integer", v)) for v in values]
+        bounds = INT_BOUNDS.get(target)
+        if bounds is not None and bounds[0] <= min(values) and max(values) <= bounds[1]:
+            return values
+    raise Refused
 
 
 def make_builder(ctype: FrameColumnType):
@@ -384,6 +469,17 @@ def validated_rows(
         yield _validated_row(i, row, record, pos)
 
 
+def _put_rows(builder, record: FrameColumnType, rows: "Iterable[Item]", start: int) -> int:
+    """Put each row, the first numbered `start`; the number after the last."""
+    put = builder.put
+    for row in rows:
+        if not put(row):
+            _validated_row(start, row, record, None)
+            raise AssertionError(f"row {start}: the column builders rejected a valid row")
+        start += 1
+    return start
+
+
 def annotate_rows(rows: "Iterable[Item]", descriptor: Item) -> Frame:
     """Validate each row against the descriptor and store columnar.
 
@@ -393,12 +489,45 @@ def annotate_rows(rows: "Iterable[Item]", descriptor: Item) -> Frame:
     """
     record = annotate_schema(descriptor)
     builder = make_builder(record)
-    put = builder.put
-    for i, row in enumerate(rows):
-        if not put(row):
-            _validated_row(i, row, record, None)
-            raise AssertionError(f"row {i}: the column builders rejected a valid row")
+    _put_rows(builder, record, rows, 0)
     return builder.finish()
+
+
+class RowBatches:
+    """The rows of a frame-mode `annotate`, built a batch at a time: an
+    iterable of `(n, columns, rows)` for `n` rows, where `columns()` returns
+    their record vector or raises `Refused`, and `rows()` iterates their row
+    objects."""
+
+    __slots__ = ("batches",)
+
+    def __init__(self, batches: Iterable):
+        self.batches = batches
+
+
+def annotate_batches(rows: RowBatches, descriptor: Item) -> Frame:
+    """`annotate_rows` over rows that come a batch at a time. The builders
+    stage the casts of a batch's columns first and commit them only when
+    every column stages, so a batch lands whole or not at all. A batch that
+    refuses is put row by row, numbered from the rows before it, and raises
+    the validator's error for its first bad row."""
+    record = annotate_schema(descriptor)
+    builder = make_builder(record)
+    _put_batches(builder, record, rows.batches)
+    return builder.finish()
+
+
+def _put_batches(builder, record: FrameColumnType, batches: Iterable) -> None:
+    # a function of its own, so that the last batch is freed before `finish`
+    count = 0
+    for n, columns, batch_rows in batches:
+        try:
+            commit = builder.stage(columns(), n)
+        except Refused:
+            count = _put_rows(builder, record, batch_rows(), count)
+        else:
+            commit()
+            count += n
 
 
 def frame_filter(
@@ -430,19 +559,20 @@ def frame_filter(
 
 
 # ---------------------------------------------------------------------------
-# Column kernels: the operators of a lowered condition applied to whole
-# columns. A vector is `(kind, values)`: the kind class that every row's
-# value has (see `_KIND_CLASS`; "empty", "record" and "array" are the
-# non-atomic ones) and a numpy array with one value per row, or a plain
-# Python scalar that stands for every row (a literal). Each operator raises
-# `Refused` wherever the per-row path could raise or give another value, so
-# a kernel that returns is exact, and one that refuses leaves the row
-# objects, the error and its row index to `frame_filter`'s per-row path.
+# Column kernels: the operators of a lowered condition, or of a batched
+# annotate's row FLWOR, applied to whole columns. A vector is `(kind,
+# values)`: the kind class that every row's value has (see `_KIND_CLASS`;
+# "empty" and the `_OPAQUE` kinds are the non-atomic ones) and a numpy array
+# with one value per row, or a plain Python scalar that stands for every row
+# (a literal). Each operator raises `Refused` wherever the per-row path could
+# raise or give another value, so a kernel that returns is exact, and one
+# that refuses leaves the row objects, the error and its row index to the
+# per-row path of `frame_filter` or `annotate_batches`.
 # ---------------------------------------------------------------------------
 
 
 class Refused(Exception):
-    """A column kernel cannot be exact on this frame."""
+    """A column kernel, or a builder's `stage`, cannot be exact here."""
 
 
 _KIND_CLASS = {
@@ -462,6 +592,9 @@ _RENDER_KIND = {cls: kind for kind, cls in _KIND_CLASS.items()}
 _RENDER_KIND["int"] = "integer"
 
 EMPTY = ("empty", None)
+# kinds whose values no scalar operator takes: the rows of a frame, an array
+# column, and the row-building vectors below
+_OPAQUE = frozenset({"record", "array", "sequence", "object", "positional"})
 _NUMBERS = frozenset({"int", "double", "decimal"})
 _ORDERED = frozenset({"string", "boolean", "date", "dateTime"})
 _DTYPE = {"int": np.int64, "double": np.float64, "boolean": np.bool_}
@@ -513,7 +646,7 @@ def _atomic_operands(*vectors) -> bool:
     """Refuse a record or array operand, which the per-row path rejects;
     True when any operand is empty."""
     for kind, _ in vectors:
-        if kind in ("record", "array"):
+        if kind in _OPAQUE:
             raise Refused
     return any(kind == "empty" for kind, _ in vectors)
 
@@ -651,7 +784,7 @@ def vector_if(cond: tuple, then: tuple, orelse: tuple) -> tuple:
     if np.ndim(mask) == 0:
         return then if mask else orelse
     kind = then[0]
-    if orelse[0] != kind or kind in ("record", "array"):
+    if orelse[0] != kind or kind in _OPAQUE:
         raise Refused  # one kind per vector
     if kind in ("empty", "null"):
         return then
@@ -688,3 +821,77 @@ def vector_contains(haystack: tuple, needle: tuple) -> tuple:
 
 
 _CONTAINS = np.frompyfunc(operator.contains, 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# Row-building vectors: a batched `annotate` evaluates its row FLWOR over a
+# batch of `for` items with these and the operators above (see
+# `runtime._row_batches`), and the builders' `stage` casts the result. A
+# "sequence" vector holds each row's string tokens as `(starts, stops,
+# flat)`: row r's items are flat[starts[r]:stops[r]]. An "object" vector is
+# an object constructor's dict of field vectors, and a "positional" vector
+# is the record `{| for $i at $p in $s return { string($p) : $i } |}` of a
+# sequence vector's rows, held as that sequence. Each refuses where a row
+# could raise or differ, as the operators above do.
+# ---------------------------------------------------------------------------
+
+
+def items_vector(items: "list[Item]") -> tuple:
+    """The vector of a batch of `for` items, which must be strings."""
+    if set(map(type, items)) != _ATOMS_ONLY or set(map(_KIND, items)) != _STRINGS_ONLY:
+        raise Refused
+    return ("string", _object_array(list(map(_VALUE, items))))
+
+
+def vector_tokenize(text: tuple, sep: tuple) -> tuple:
+    """`tokenize#2` of each row: "" has no tokens, and one trailing empty
+    token is dropped. The separator is one nonempty string for every row."""
+    kind, values = text
+    if kind != "string" or not isinstance(values, np.ndarray):
+        raise Refused
+    if sep[0] != "string" or not isinstance(sep[1], str) or sep[1] == "":
+        raise Refused  # a separator per row, or the per-row TYPE_ERROR
+    rows = list(map(str.split, values.tolist(), repeat(sep[1])))
+    for tokens in rows:
+        # the last token is empty exactly where the text is "" or ends with
+        # the separator
+        if not tokens[-1]:
+            tokens.pop()
+    stops = list(accumulate(map(len, rows)))
+    return ("sequence", ([0] + stops[:-1], stops, list(chain.from_iterable(rows))))
+
+
+def sequence_longest(vector: tuple) -> int:
+    """The most items a row of a sequence vector has."""
+    starts, stops, _ = vector[1]
+    return max(map(operator.sub, stops, starts))
+
+
+def vector_head(seq: tuple) -> tuple:
+    """`head#1` of each row; Refused where a row's sequence is empty."""
+    if seq[0] != "sequence":
+        raise Refused
+    starts, stops, flat = seq[1]
+    if any(map(operator.ge, starts, stops)):
+        raise Refused  # one kind per vector: no empty rows among strings
+    return ("string", _object_array([flat[a] for a in starts]))
+
+
+def vector_tail(seq: tuple) -> tuple:
+    """`tail#1` of each row."""
+    if seq[0] != "sequence":
+        raise Refused
+    starts, stops, flat = seq[1]
+    return ("sequence", ([a + (a < b) for a, b in zip(starts, stops)], stops, flat))
+
+
+def vector_positional(seq: tuple) -> tuple:
+    """`{| for $i at $p in $seq return { string($p) : $i } |}` of each row."""
+    if seq[0] != "sequence":
+        raise Refused
+    return ("positional", seq[1])
+
+
+def vector_object(names: tuple, *values: tuple) -> tuple:
+    """An object constructor of distinct literal keys, for each row."""
+    return ("object", dict(zip(names, values)))

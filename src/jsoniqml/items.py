@@ -19,7 +19,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from datetime import date, datetime
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from json.encoder import encode_basestring as _quote
 from typing import Any, Iterable, Iterator, Optional, Union
 
@@ -51,7 +51,7 @@ ATOMIC_KINDS = frozenset(
 INTEGER_KINDS = frozenset({"byte", "short", "int", "long", "integer"})
 NUMERIC_KINDS = INTEGER_KINDS | {"decimal", "double", "float"}
 
-_INT_BOUNDS = {
+INT_BOUNDS = {
     "byte": (-(2**7), 2**7 - 1),
     "short": (-(2**15), 2**15 - 1),
     "int": (-(2**31), 2**31 - 1),
@@ -94,7 +94,7 @@ class AtomicValue:
         elif kind in INTEGER_KINDS:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{kind} expects an int")
-            bounds = _INT_BOUNDS.get(kind)
+            bounds = INT_BOUNDS.get(kind)
             if bounds is not None and not bounds[0] <= value <= bounds[1]:
                 raise ValueError(f"{value} out of range for {kind}")
         elif kind in ("double", "float"):
@@ -149,12 +149,6 @@ class ObjectItem:
     """Object with unique string keys; construction order is preserved."""
 
     pairs: "dict[str, Item]"
-
-    def keys(self):
-        return self.pairs.keys()
-
-    def get(self, key: str) -> "Optional[Item]":
-        return self.pairs.get(key)
 
 
 @dataclass
@@ -326,8 +320,8 @@ def render_atomic(av: AtomicValue) -> str:
     if kind in INTEGER_KINDS:
         try:
             return str(value)
-        except ValueError:  # more digits than str() renders; Decimal has no limit
-            return format(Decimal(value), "f")
+        except ValueError:  # more digits than str() renders
+            return str(_int_to_decimal(value))
     if kind in ("double", "float"):
         return render_double(value)
     if kind == "decimal":
@@ -339,6 +333,44 @@ def render_atomic(av: AtomicValue) -> str:
     if kind == "hexBinary":
         return value.hex().upper()
     raise AssertionError(kind)
+
+
+# decimal arithmetic in this context is exact: no result is rounded, and no
+# exponent overflows
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+# integers of at most this many bits convert to Decimal directly
+_SPLIT_BITS = 128
+
+
+def _int_to_decimal(n: int) -> Decimal:
+    """`n` as a Decimal, in time below quadratic in its digits (`Decimal(n)`
+    is quadratic): split the bits in halves, convert each half, and join them
+    with one exact multiply and add, as CPython 3.12's `_pylong` does."""
+    powers: "dict[int, Decimal]" = {}
+
+    def two_to(w: int) -> Decimal:
+        # 2**w; each level reuses the powers of the level below
+        power = powers.get(w)
+        if power is None:
+            if w <= _SPLIT_BITS:
+                power = Decimal(1 << w)
+            elif w - 1 in powers:
+                power = _EXACT.add(powers[w - 1], powers[w - 1])
+            else:
+                power = _EXACT.multiply(two_to(w >> 1), two_to(w - (w >> 1)))
+            powers[w] = power
+        return power
+
+    def convert(n: int, w: int) -> Decimal:
+        if w <= _SPLIT_BITS:
+            return Decimal(n)
+        half = w >> 1
+        high = n >> half
+        low = n - (high << half)
+        return _EXACT.add(convert(low, half), _EXACT.multiply(convert(high, w - half), two_to(half)))
+
+    result = convert(abs(n), abs(n).bit_length())
+    return result.copy_negate() if n < 0 else result
 
 
 # kinds whose text is quoted in the canonical form
@@ -647,7 +679,7 @@ def _to_int(value, target_kind: str) -> int:
         result = int(value.to_integral_value(rounding="ROUND_DOWN"))
     else:
         result = int(value)
-    bounds = _INT_BOUNDS.get(target_kind)
+    bounds = INT_BOUNDS.get(target_kind)
     if bounds is not None and not bounds[0] <= result <= bounds[1]:
         try:
             text = str(result)

@@ -37,11 +37,25 @@ is one direct call. The body returns the call's value in the call's mode: a
 `"one"` builtin its item or None. A builtin function item reads its boxed
 arguments with the sequence forms and boxes a `"one"` result.
 
-A lowered predicate or `where` (see `modes._lowerable`) is compiled twice:
-into the usual callable, and into a column kernel that applies the
-condition's operators to whole columns (`frame.py`). The filter runs the
-kernel first. The kernel refuses wherever it could differ from the per-row
-result or error, and only then does the callable run once per row object.
+One kernel compiler, `_compile_kernel`, turns an expression into a column
+kernel: a callable from an environment of column vectors (variable name to
+vector, see `frame.py`) to the expression's vector. A kernel refuses
+wherever it could differ from the per-row result or error, and only then does
+the usual callable run once per row. It serves two plans:
+
+- A lowered predicate or `where` (see `modes._lowerable`) is compiled into
+  the usual callable and into a kernel whose one variable holds the frame's
+  rows. The filter runs the kernel first, and the callable per row object
+  where it refuses.
+- The rows of a frame-mode `annotate` whose first argument is one `for` over
+  a local sequence, then `let`s, then an object constructor, all made of row
+  building's operators (`_row_kernel`: `tokenize`, `head`, `tail`,
+  `contains`, `if`, literals, object constructors with literal keys and the
+  positional record `{| for $i at $p in $s return { string($p) : $i } |}`),
+  are built a batch of `for` items at a time (`ANNOTATE_BATCH`): each `let`
+  and the return run as kernels over the batch, and the returned record
+  vector is cast straight into the column builders. A batch that refuses is
+  built by the FLWOR's compiled clauses, item by item, and put row by row.
 
 A run function whose own body can raise a dynamic error attaches its node's
 position to a position-less one; errors raised later, while a lazy result is
@@ -53,6 +67,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DecimalException
+from functools import partial
+from itertools import islice
 from types import MethodType
 from typing import Any, Callable, Optional
 
@@ -63,17 +79,26 @@ from .frame import (
     COMPARISONS,
     EMPTY,
     Frame,
+    Refused,
+    RowBatches,
     frame_filter,
+    items_vector,
     literal_vector,
     row_vector,
+    sequence_longest,
     vector_arithmetic,
     vector_boolean,
     vector_compare,
     vector_contains,
+    vector_head,
     vector_if,
     vector_lookup,
     vector_not,
+    vector_object,
+    vector_positional,
     vector_string,
+    vector_tail,
+    vector_tokenize,
 )
 from .items import (
     FALSE,
@@ -97,7 +122,7 @@ from .items import (
     to_double,
     trusted_atomic,
 )
-from .modes import CompiledTree, LOCAL_ONE, FunctionInfo, RuntimeIterator
+from .modes import FRAME_MODE, LOCAL_ONE, CompiledTree, FunctionInfo, RuntimeIterator
 
 DEFAULT_CAP = 1_000_000
 
@@ -648,6 +673,10 @@ def _run_object(plan, ev, ctx):
         raise
 
 
+def _key_name(literal: AtomicValue) -> str:
+    return literal.value if literal.kind == "string" else render_atomic(literal)
+
+
 def _object_plan(it, program) -> tuple:
     """One (key name, key, key reader, key position, value, value is
     local-one, value position) entry per pair; a literal key is named here
@@ -655,8 +684,7 @@ def _object_plan(it, program) -> tuple:
     pairs = []
     for key_it, val_it in zip(it.children[0::2], it.children[1::2]):
         if key_it.kind == "literal":
-            literal = key_it.node.value
-            name = literal.value if literal.kind == "string" else render_atomic(literal)
+            name = _key_name(key_it.node.value)
             key = key_atom = None
         else:
             name = None
@@ -827,16 +855,26 @@ def _run_frame_where(plan, ev, ctx):
         raise
 
 
-def _kernel_constant(vector, frame):
+def _kernel_constant(vector, env):
     return vector
 
 
-def _run_kernel(plan, frame):
+def _kernel_variable(name, env):
+    return env[name]
+
+
+def _run_kernel(plan, env):
     operation, constants, children = plan
-    return operation(*constants, *[child(frame) for child in children])
+    return operation(*constants, *[child(env) for child in children])
 
 
-# the column operation of each operator a lowered condition may hold
+def _frame_kernel(plan, frame):
+    """A condition's kernel over a frame, whose rows its variable reads."""
+    var, kernel = plan
+    return kernel({var: row_vector(frame)})
+
+
+# the column operation of each operator a kernel may hold
 _VECTOR_OPERATIONS = {
     "comparison": vector_compare,
     "arithmetic": vector_arithmetic,
@@ -844,22 +882,26 @@ _VECTOR_OPERATIONS = {
     "not": vector_not,
     "if": vector_if,
     "lookup": vector_lookup,
+    "object": vector_object,
+    "merged": vector_positional,
     "contains#2": vector_contains,
     "string#1": vector_string,
+    "tokenize#2": vector_tokenize,
+    "head#1": vector_head,
+    "tail#1": vector_tail,
 }
 
 
 def _compile_kernel(it):
-    """The column kernel of a condition that `modes._lowerable` accepts: a
-    callable from a frame to the condition's vector (see `frame.py`)."""
+    """The column kernel of an expression that `modes._lowerable` or
+    `_row_kernel` accepts: a callable from an environment (variable name to
+    vector) to the expression's vector (see `frame.py`)."""
     kind, node = it.kind, it.node
     if kind == "literal":
         return MethodType(_kernel_constant, literal_vector(node.value))
     if kind in ("context", "var"):
-        return row_vector  # the only variable a lowered condition reads
-    children = tuple([_compile_kernel(child) for child in it.children])
-    if kind == "seq":
-        return children[0] if children else MethodType(_kernel_constant, EMPTY)
+        return MethodType(_kernel_variable, _CONTEXT if kind == "context" else node.name)
+    children = it.children
     constants = ()
     if kind in ("comparison", "arithmetic"):
         constants = (node.op,)
@@ -867,9 +909,70 @@ def _compile_kernel(it):
         constants = (node.op == "and",)
     elif kind == "lookup":
         constants = (node.key,)
+    elif kind == "object":
+        constants = (tuple([_key_name(key.node.value) for key in children[0::2]]),)
+        children = children[1::2]
+    elif kind == "merged":
+        children = [_positional_source(it)]
     elif kind == "static-call":
         kind = node.target[1]
+    children = tuple([_compile_kernel(child) for child in children])
+    if kind == "seq":
+        return children[0] if children else MethodType(_kernel_constant, EMPTY)
     return MethodType(_run_kernel, (_VECTOR_OPERATIONS[kind], constants, children))
+
+
+# builtins a row-building kernel may call
+_ROW_BUILTINS = frozenset({"tokenize#2", "head#1", "tail#1", "contains#2"})
+
+
+def _row_kernel(it, names) -> bool:
+    """Whether a batched `annotate` can evaluate the expression as a column
+    kernel: it reads no variable but the batch's (`names`) and has only the
+    operators of row building."""
+    kind = it.kind
+    if kind == "literal":
+        return True
+    if kind == "var":
+        return it.node.binding == "local" and it.node.name in names
+    if kind == "static-call":
+        target_kind, target = it.node.target
+        if target_kind != "builtin" or target not in _ROW_BUILTINS:
+            return False
+    elif kind == "object":
+        keys = [key.node.value for key in it.children[0::2] if key.kind == "literal"]
+        if len(keys) * 2 != len(it.children) or len({_key_name(k) for k in keys}) != len(keys):
+            return False  # a computed or a repeated key
+        return all(_row_kernel(value, names) for value in it.children[1::2])
+    elif kind == "merged":
+        source = _positional_source(it)
+        return source is not None and _row_kernel(source, names)
+    elif not (kind == "if" or (kind == "seq" and len(it.children) == 1)):
+        return False
+    return all(_row_kernel(child, names) for child in it.children)
+
+
+def _positional_source(it) -> Optional[RuntimeIterator]:
+    """The `$s` of `{| for $i at $p in $s return { string($p) : $i } |}`, the
+    positional record, or None for any other merged object constructor."""
+    flwor = it.children[0]
+    if flwor.kind != "flwor" or flwor.frame_lowered or len(flwor.node.clauses) != 1:
+        return None
+    (clause, source), ret = flwor.clause_iters[0], flwor.return_iter
+    if not isinstance(clause, ForClause) or clause.pos_var in (None, clause.var):
+        return None
+    if ret.kind != "object" or len(ret.children) != 2:
+        return None
+    key, value = ret.children
+    if key.kind != "static-call" or key.node.target != ("builtin", "string#1"):
+        return None
+    if not _reads(key.children[0], clause.pos_var) or not _reads(value, clause.var):
+        return None
+    return source
+
+
+def _reads(it, name: str) -> bool:
+    return it.kind == "var" and it.node.binding == "local" and it.node.name == name
 
 
 def _run_predicate(plan, ev, ctx):
@@ -886,7 +989,8 @@ def _compile_predicate(it, program):
     cond, ebv = _compile(cond_it, program), _ebv_reader(cond_it)
     if it.frame_lowered:
         # the base is frame-mode: its value is a Frame
-        plan = (base, _CONTEXT, cond, ebv, _compile_kernel(cond_it), it.node.pos)
+        kernel = MethodType(_frame_kernel, (_CONTEXT, _compile_kernel(cond_it)))
+        plan = (base, _CONTEXT, cond, ebv, kernel, it.node.pos)
         return MethodType(_run_frame_where, plan)
     return MethodType(_run_predicate, (base, base_it.mode == LOCAL_ONE, cond, ebv))
 
@@ -939,11 +1043,18 @@ _BUILTIN_RUNS = {1: _run_builtin1, 2: _run_builtin2}
 
 def _compile_builtin_call(it, program, spec):
     """Each argument's reader is chosen from its mode (see `builtins.py`): a
-    local-one argument reaches the body as its item or payload, unboxed."""
+    local-one argument reaches the body as its item or payload, unboxed.
+    The rows of a frame-mode `annotate` compile to their batch plan where
+    they have one."""
+    # true for the first argument only; a flag, not a list of argument plans,
+    # because every call's compile allocations show in `peak_mem_mb`
+    batchable = spec.key == "annotate#2" and it.mode == FRAME_MODE
     plan = [spec.fn, it]
     for param, child in zip(spec.params, it.children):
-        plan.append(_compile(child, program))
+        run = batchable and _compile_row_batches(child, program)
+        plan.append(run or _compile(child, program))
         plan.append(param.one if child.mode == LOCAL_ONE else param.seq)
+        batchable = False
     if len(spec.params) == 1 and spec.params[0].direct and it.children[0].mode == LOCAL_ONE:
         return MethodType(_run_builtin_direct, (spec.fn, it, plan[2]))
     return MethodType(_BUILTIN_RUNS[len(spec.params)], tuple(plan))
@@ -1234,10 +1345,100 @@ def _compile_flwor_frame(it, program):
         for_clause.var,
         _compile(where, program),
         _ebv_reader(where),
-        _compile_kernel(where),
+        MethodType(_frame_kernel, (for_clause.var, _compile_kernel(where))),
         it.node.pos,
     )
     return MethodType(_run_frame_where, plan)
+
+
+# ---------------------------------------------------------------------------
+# Batched row building (see the module docstring)
+# ---------------------------------------------------------------------------
+
+# the most items a batch pulls from the `for` source: a larger batch spreads
+# the per-batch work over more rows but holds more tokens alive at once
+ANNOTATE_BATCH = 16
+
+
+def _compile_row_batches(it, program):
+    """The batch plan of an `annotate`'s row FLWOR, or None where it has
+    none: a callable that returns the rows as `RowBatches`."""
+    if it.kind != "flwor" or it.frame_lowered:
+        return None
+    (first, source_it), lets = it.clause_iters[0], it.clause_iters[1:]
+    if not isinstance(first, ForClause) or first.pos_var or source_it.mode == FRAME_MODE:
+        return None
+    names = {first.var}
+    for clause, child in lets:
+        if not isinstance(clause, LetClause) or not _row_kernel(child, names):
+            return None
+        names.add(clause.var)
+    ret = it.return_iter
+    if ret.kind != "object" or not _row_kernel(ret, names):
+        return None
+    clauses = _compile_clauses(it, program)
+    _, var, _, source, source_one, _ = clauses[0]
+    plan = (
+        source,
+        source_one,
+        var,
+        tuple([(clause.var, _compile_kernel(child)) for clause, child in lets]),
+        _compile_kernel(ret),
+        clauses[1:],
+        _compile(ret, program),
+    )
+    return MethodType(_run_row_batches, plan)
+
+
+def _run_row_batches(plan, ev, ctx):
+    # the source is evaluated when the first batch is pulled, as the `for`
+    # clause evaluates it when its first tuple is
+    return RowBatches(_row_batches(plan, ev, ctx))
+
+
+def _pull(items, size: int):
+    """The next `size` items at most, and the error that ended them early."""
+    batch: list = []
+    try:
+        batch.extend(islice(items, size))  # keeps the items before an error
+    except Exception as err:  # raised again once the items before it are spent
+        return batch, err
+    return batch, None
+
+
+def _row_batches(plan, ev, ctx):
+    source, source_one, var, lets, kernel, clauses, ret = plan
+    items = iter(_items(source(ev, ctx), source_one))
+    while True:
+        batch, error = _pull(items, ANNOTATE_BATCH)
+        if batch:
+            columns = partial(_batch_columns, ev.cap, var, lets, kernel, batch)
+            rows = partial(_batch_rows, ev, ctx, var, clauses, ret, batch)
+            yield len(batch), columns, rows
+        if error is not None:
+            raise error
+        if len(batch) < ANNOTATE_BATCH:
+            return
+
+
+def _batch_columns(cap: int, var: str, lets, kernel, batch: list) -> tuple:
+    """The record vector of a batch's rows; Refused where a row could
+    differ from `_batch_rows`'s or raise, a `let` over the cap included."""
+    env = {var: items_vector(batch)}
+    for name, let in lets:
+        vector = let(env)
+        if vector[0] == "sequence" and sequence_longest(vector) > cap:
+            raise Refused
+        env[name] = vector
+    return kernel(env)
+
+
+def _batch_rows(ev, ctx, var: str, clauses, ret, batch: list):
+    """A batch's row objects, one `for` item at a time."""
+    for item in batch:
+        t = ctx.copy()
+        t[var] = item
+        yield from _flwor_items(ev, t, clauses, ret, True)
 
 
 _COMPILERS = {

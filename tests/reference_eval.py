@@ -3,13 +3,16 @@
 An independent oracle for differential testing: everything is a fully
 materialized Python list, FLWOR clauses expand an explicit list of binding
 tuples, and there is no mode inference, no streaming, and no frame anywhere.
-Only the builtins the query generator emits are implemented.
+Only the builtins the query generator emits are implemented, and the two
+that row-building programs add: `unparsed-text-lines` and `annotate`, which
+validates each row with the engine's `validate_item`.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
+from pathlib import Path
 
 from jsoniqml.ast_nodes import (
     ArrayConstructor,
@@ -36,7 +39,7 @@ from jsoniqml.ast_nodes import (
     VarRef,
     WhereClause,
 )
-from jsoniqml.errors import DynamicError
+from jsoniqml.errors import DynamicError, SourceIOError
 from jsoniqml.items import (
     ArrayItem,
     AtomicValue,
@@ -48,6 +51,7 @@ from jsoniqml.items import (
     to_double,
 )
 from jsoniqml.resolver import ResolvedModule
+from jsoniqml.schema import parse_schema, validate_item
 
 
 def exact_decimal(fn, a, b):
@@ -373,7 +377,36 @@ class _Ref:
             if text.endswith(sep):
                 parts = parts[:-1]
             return [AtomicValue("string", p) for p in parts]
+        if name == "unparsed-text-lines":
+            try:
+                # universal newlines, as the engine reads the file
+                text = Path(self.string_arg(args[0])).read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as err:
+                raise SourceIOError(str(err)) from err
+            lines = text.split("\n")
+            if lines[-1] == "":
+                lines.pop()
+            return [AtomicValue("string", line) for line in lines]
+        if name == "annotate":
+            return self.annotate(args[0], args[1])
         raise AssertionError(f"reference evaluator: builtin {name}")
+
+    def annotate(self, rows, descriptor):
+        """Every row built first, then each validated by `validate_item`."""
+        if len(descriptor) != 1:
+            raise DynamicError("TYPE_ERROR", "annotate schema")
+        record = parse_schema(descriptor[0])
+        if record.kind != "Record":
+            raise DynamicError("MALFORMED_SCHEMA", "annotate schema")
+        out = []
+        for i, row in enumerate(rows):
+            if not isinstance(row, ObjectItem):
+                raise DynamicError("NON_OBJECT_ROW", f"row {i}")
+            try:
+                out.append(validate_item(row, record))
+            except DynamicError as err:
+                raise DynamicError(err.code, f"row {i}: {err.message}") from err
+        return out
 
     def string_arg(self, values) -> str:
         if not values:

@@ -91,6 +91,53 @@ class TestLexer:
         assert tokens[2].line == 2 and tokens[2].col == 3
 
 
+class TestStringEscapes:
+    @pytest.mark.parametrize(
+        "escape,char",
+        [('\\"', '"'), ("\\\\", "\\"), ("\\/", "/"), ("\\b", "\b"), ("\\f", "\f"),
+         ("\\n", "\n"), ("\\r", "\r"), ("\\t", "\t")],
+    )
+    def test_each_escape(self, escape, char):
+        (token, eof) = lexer.lex(f'"a{escape}b"')
+        assert (token.type, token.value, eof.col) == (lexer.STRING, f"a{char}b", len(escape) + 5)
+
+    def test_escape_map_is_covered(self):
+        assert set(lexer._ESCAPE_MAP) == set('"\\/bfnrt')
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [('"\\u0041"', "A"), ('"x\\u00e9y"', "x\u00e9y"), ('"\\uD7FF\\uFFFF"', "\ud7ff\uffff"),
+         ('"\\u00410"', "A0")],
+    )
+    def test_unicode_escape(self, text, value):
+        assert lexer.lex(text)[0].value == value
+
+    @pytest.mark.parametrize(
+        "text,position,message",
+        [
+            # the position of a bad escape is its letter's; the string's own
+            # position is kept for a string that never ends
+            ('"ab\\u12"', (1, 5), "bad \\u escape"),
+            ('"\\u12', (1, 3), "bad \\u escape"),
+            ('"\\u12g4"', (1, 3), "bad \\u escape"),
+            ('  "\\uXYZW"', (1, 5), "bad \\u escape"),
+            ('"a\\qb"', (1, 4), "bad escape \\q"),
+            ('1 +\n "\\x"', (2, 4), "bad escape \\x"),
+            ('"ab\\', (1, 1), "unterminated string literal"),
+            ('x := "\\', (1, 6), "unterminated string literal"),
+        ],
+    )
+    def test_bad_escapes(self, text, position, message):
+        with pytest.raises(QueryParseError) as err:
+            lexer.lex(text)
+        assert (err.value.code, err.value.message, err.value.position) == (
+            "LEX_ERROR", message, position
+        )
+
+    def test_escapes_reach_the_value(self):
+        assert run_query('"tab\\there \\u0041"')[0].value == "tab\there A"
+
+
 class TestParser:
     def test_pipeline_program_shape(self):
         module = parse(PIPELINE_QUERY)
