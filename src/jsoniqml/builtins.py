@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .errors import DynamicError, SourceIOError
-from .frame import RowBatches, annotate_batches, annotate_rows, annotate_schema, validated_rows
+from .frame import annotate_rows, annotate_schema, validated_rows
 from .items import (
     FALSE,
     POSITION_STRINGS,
@@ -191,8 +191,6 @@ def _bi_string(it, item):
 
 def _bi_annotate(it, rows, descriptor):
     if it.mode == FRAME_MODE:
-        if rows.__class__ is RowBatches:  # the runtime's batch plan
-            return annotate_batches(rows, descriptor)
         return annotate_rows(_iter_items(rows), descriptor)
     # local mode validates lazily; a bad row raises at this call's position
     # even though the rows are pulled after it returns

@@ -15,19 +15,19 @@ row through `validate_item`. Frame mode, `annotate_rows`, is a sink: each
 column builder's `put` checks one value (field count, names and kinds, in
 schema order) and casts it straight into the column's payload buffer, so no
 atom, object or array is built. A record whose fields are all `double` (the
-paper's feature record) has one builder that casts a whole row with C-level
-`map`s into one row-major buffer when the row's values are all string
-numerals that need no strip, and casts other rows field by field. A row a
+paper's feature record) has one builder with one row-major buffer, which
+casts a row field by field. A row a
 builder rejects is validated again by `validate_item`, so every error, with
 its `row i:` prefix and its path, is the validator's.
 
 A batched annotate (`annotate_batches`) takes its rows a batch at a time as a
 record vector: the column vectors of the fields, built by the row-building
 vector operations at the end of this module. Each builder's `stage` checks
-and casts a whole column of the batch, and the batch is committed only when
-every column stages; it refuses, leaving the batch to `put` row by row,
-wherever a row's cast could fail or differ from `put`'s. So a batch that
-lands holds no invalid row, and errors stay the validator's.
+and casts a whole column of the batch (the `double` record's with C-level
+`map`s over the string numerals that need no strip), and the batch is
+committed only when every column stages; it refuses, leaving the batch to
+`put` row by row, wherever a row's cast could fail or differ from `put`'s.
+So a batch that lands holds no invalid row, and errors stay the validator's.
 
 Rows leave a frame through one reader per column type, `items(lo, hi)`: a
 scalar column turns one slice into Python values with `tolist` and builds
@@ -323,17 +323,11 @@ class _RecordBuilder:
         return Frame(self.ctype, [(n, b.finish()) for n, b in self.children], self.count)
 
 
-_ATOMS_ONLY = frozenset({AtomicValue})
-_STRINGS_ONLY = frozenset({"string"})
-_KIND = operator.attrgetter("kind")
-_VALUE = operator.attrgetter("value")
-
-
 class _DoubleRecordBuilder:
-    """A record whose fields are all `double`, cast a row at a time into one
-    row-major buffer. A row of string numerals that `items.DOUBLE_RE` takes as
-    they stand is one `extend`; any other row is cast field by field, as
-    `_ScalarBuilder` casts."""
+    """A record whose fields are all `double`, cast into one row-major
+    buffer: a batch's columns as one `extend` (`stage`), and a row that comes
+    alone, or from a batch that refused, field by field as `_ScalarBuilder`
+    casts (`put`)."""
 
     def __init__(self, ctype: FrameColumnType):
         self.ctype = ctype
@@ -346,15 +340,8 @@ class _DoubleRecordBuilder:
     def put(self, item: Item) -> bool:
         if item.__class__ is not ObjectItem or len(item.pairs) != len(self.names):
             return False
-        atoms = list(map(item.pairs.get, self.names))  # None for a missing field
-        if set(map(type, atoms)) == _ATOMS_ONLY and set(map(_KIND, atoms)) == _STRINGS_ONLY:
-            texts = list(map(_VALUE, atoms))
-            if all(map(DOUBLE_RE.fullmatch, texts)):
-                self.values.extend(map(float, texts))
-                self.count += 1
-                return True
         append = self.values.append
-        for atom in atoms:
+        for atom in map(item.pairs.get, self.names):  # None for a missing field
             if atom.__class__ is not AtomicValue:
                 return False
             try:
@@ -366,7 +353,8 @@ class _DoubleRecordBuilder:
 
     def stage(self, vector: tuple, n: int):
         # the rows' members, when every row has one per field, are the fields
-        # "1".."k" in order; the same check and cast as `put`'s batch of a row
+        # "1".."k" in order; string numerals that `items.DOUBLE_RE` takes as
+        # they stand cast as `cast_value` casts them
         if vector[0] != "positional" or not self.positional:
             raise Refused
         texts = _positional_members(vector[1], len(self.names))
@@ -493,27 +481,18 @@ def annotate_rows(rows: "Iterable[Item]", descriptor: Item) -> Frame:
     return builder.finish()
 
 
-class RowBatches:
-    """The rows of a frame-mode `annotate`, built a batch at a time: an
-    iterable of `(n, columns, rows)` for `n` rows, where `columns()` returns
-    their record vector or raises `Refused`, and `rows()` iterates their row
-    objects."""
-
-    __slots__ = ("batches",)
-
-    def __init__(self, batches: Iterable):
-        self.batches = batches
-
-
-def annotate_batches(rows: RowBatches, descriptor: Item) -> Frame:
-    """`annotate_rows` over rows that come a batch at a time. The builders
-    stage the casts of a batch's columns first and commit them only when
-    every column stages, so a batch lands whole or not at all. A batch that
-    refuses is put row by row, numbered from the rows before it, and raises
-    the validator's error for its first bad row."""
+def annotate_batches(batches: Iterable, descriptor: Item) -> Frame:
+    """`annotate_rows` over rows that come a batch at a time, as
+    `runtime._row_batches` yields them: `(n, columns, rows)` for `n` rows,
+    where `columns()` returns their record vector or raises `Refused`, and
+    `rows()` iterates their row objects. The builders stage the casts of a
+    batch's columns first and commit them only when every column stages, so
+    a batch lands whole or not at all. A batch that refuses is put row by
+    row, numbered from the rows before it, and raises the validator's error
+    for its first bad row."""
     record = annotate_schema(descriptor)
     builder = make_builder(record)
-    _put_batches(builder, record, rows.batches)
+    _put_batches(builder, record, batches)
     return builder.finish()
 
 
@@ -834,6 +813,12 @@ _CONTAINS = np.frompyfunc(operator.contains, 2, 1)
 # sequence vector's rows, held as that sequence. Each refuses where a row
 # could raise or differ, as the operators above do.
 # ---------------------------------------------------------------------------
+
+
+_ATOMS_ONLY = frozenset({AtomicValue})
+_STRINGS_ONLY = frozenset({"string"})
+_KIND = operator.attrgetter("kind")
+_VALUE = operator.attrgetter("value")
 
 
 def items_vector(items: "list[Item]") -> tuple:

@@ -335,9 +335,10 @@ def render_atomic(av: AtomicValue) -> str:
     raise AssertionError(kind)
 
 
-# decimal arithmetic in this context is exact: no result is rounded, and no
-# exponent overflows
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+# decimal arithmetic in this context is exact: the default one rounds to 28
+# digits, fails on a quotient of more than 28 digits and overflows beyond an
+# exponent of 999999
+EXACT_CONTEXT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 # integers of at most this many bits convert to Decimal directly
 _SPLIT_BITS = 128
 
@@ -355,9 +356,9 @@ def _int_to_decimal(n: int) -> Decimal:
             if w <= _SPLIT_BITS:
                 power = Decimal(1 << w)
             elif w - 1 in powers:
-                power = _EXACT.add(powers[w - 1], powers[w - 1])
+                power = EXACT_CONTEXT.add(powers[w - 1], powers[w - 1])
             else:
-                power = _EXACT.multiply(two_to(w >> 1), two_to(w - (w >> 1)))
+                power = EXACT_CONTEXT.multiply(two_to(w >> 1), two_to(w - (w >> 1)))
             powers[w] = power
         return power
 
@@ -367,7 +368,8 @@ def _int_to_decimal(n: int) -> Decimal:
         half = w >> 1
         high = n >> half
         low = n - (high << half)
-        return _EXACT.add(convert(low, half), _EXACT.multiply(convert(high, w - half), two_to(half)))
+        high_part = EXACT_CONTEXT.multiply(convert(high, w - half), two_to(half))
+        return EXACT_CONTEXT.add(convert(low, half), high_part)
 
     result = convert(abs(n), abs(n).bit_length())
     return result.copy_negate() if n < 0 else result

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, DecimalException
+from decimal import Context, Decimal, DecimalException
 from functools import partial
 from itertools import islice
 from types import MethodType
@@ -80,7 +80,7 @@ from .frame import (
     EMPTY,
     Frame,
     Refused,
-    RowBatches,
+    annotate_batches,
     frame_filter,
     items_vector,
     literal_vector,
@@ -101,6 +101,7 @@ from .frame import (
     vector_tokenize,
 )
 from .items import (
+    EXACT_CONTEXT,
     FALSE,
     NULL,
     TRUE,
@@ -515,10 +516,7 @@ def _trunc_div(a, b) -> int:
     return q if (a >= 0) == (b >= 0) else -q
 
 
-# decimal `+ - * mod` run in this context, where every result is exact: the
-# default one rounds to 28 digits, fails on a quotient of more than 28 digits
-# and overflows beyond an exponent of 999999
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+# decimal `+ - * mod` run in the exact context
 _DECIMAL_OPS = {
     "+": Context.add,
     "-": Context.subtract,
@@ -529,7 +527,8 @@ _DECIMAL_OPS = {
 
 def _exact_decimal(op: str, a, b, pos) -> AtomicValue:
     try:
-        return trusted_atomic("decimal", _DECIMAL_OPS[op](_EXACT, Decimal(a), Decimal(b)))
+        value = _DECIMAL_OPS[op](EXACT_CONTEXT, Decimal(a), Decimal(b))
+        return trusted_atomic("decimal", value)
     except DecimalException as err:  # only past the context's precision or exponent limits
         raise DynamicError(
             "RANGE_ERROR", f"decimal {op} is beyond the decimal range ({type(err).__name__})", pos
@@ -1044,17 +1043,15 @@ _BUILTIN_RUNS = {1: _run_builtin1, 2: _run_builtin2}
 def _compile_builtin_call(it, program, spec):
     """Each argument's reader is chosen from its mode (see `builtins.py`): a
     local-one argument reaches the body as its item or payload, unboxed.
-    The rows of a frame-mode `annotate` compile to their batch plan where
-    they have one."""
-    # true for the first argument only; a flag, not a list of argument plans,
-    # because every call's compile allocations show in `peak_mem_mb`
-    batchable = spec.key == "annotate#2" and it.mode == FRAME_MODE
+    A frame-mode `annotate` whose rows have a batch plan builds them with it."""
+    if spec.key == "annotate#2" and it.mode == FRAME_MODE:
+        rows = _compile_row_batches(it.children[0], program)
+        if rows is not None:
+            return _compile_batched_annotate(it, program, spec, rows)
     plan = [spec.fn, it]
     for param, child in zip(spec.params, it.children):
-        run = batchable and _compile_row_batches(child, program)
-        plan.append(run or _compile(child, program))
+        plan.append(_compile(child, program))
         plan.append(param.one if child.mode == LOCAL_ONE else param.seq)
-        batchable = False
     if len(spec.params) == 1 and spec.params[0].direct and it.children[0].mode == LOCAL_ONE:
         return MethodType(_run_builtin_direct, (spec.fn, it, plan[2]))
     return MethodType(_BUILTIN_RUNS[len(spec.params)], tuple(plan))
@@ -1362,7 +1359,7 @@ ANNOTATE_BATCH = 16
 
 def _compile_row_batches(it, program):
     """The batch plan of an `annotate`'s row FLWOR, or None where it has
-    none: a callable that returns the rows as `RowBatches`."""
+    none (see `_row_batches`)."""
     if it.kind != "flwor" or it.frame_lowered:
         return None
     (first, source_it), lets = it.clause_iters[0], it.clause_iters[1:]
@@ -1387,13 +1384,25 @@ def _compile_row_batches(it, program):
         clauses[1:],
         _compile(ret, program),
     )
-    return MethodType(_run_row_batches, plan)
+    return plan
 
 
-def _run_row_batches(plan, ev, ctx):
-    # the source is evaluated when the first batch is pulled, as the `for`
-    # clause evaluates it when its first tuple is
-    return RowBatches(_row_batches(plan, ev, ctx))
+def _compile_batched_annotate(it, program, spec, rows):
+    descriptor_it = it.children[1]
+    param = spec.params[1]
+    read = param.one if descriptor_it.mode == LOCAL_ONE else param.seq
+    return MethodType(_run_batched_annotate, (it, rows, _compile(descriptor_it, program), read))
+
+
+def _run_batched_annotate(plan, ev, ctx):
+    it, rows, descriptor, read = plan
+    try:
+        # the source is evaluated when the first batch is pulled, after the
+        # descriptor, as the `for` clause evaluates it when its first tuple is
+        return annotate_batches(_row_batches(rows, ev, ctx), read(descriptor(ev, ctx)))
+    except DynamicError as err:
+        _locate(err, it.node.pos)
+        raise
 
 
 def _pull(items, size: int):

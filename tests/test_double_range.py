@@ -111,7 +111,7 @@ def test_residual_decimal_signal_is_a_range_error(query, signal, policy, monkeyp
 
     from jsoniqml import runtime
 
-    monkeypatch.setattr(runtime, "_EXACT", Context(prec=5, Emax=9))
+    monkeypatch.setattr(runtime, "EXACT_CONTEXT", Context(prec=5, Emax=9))
     with pytest.raises(EngineError) as info:
         run_query_lines(query, policy=policy)
     assert info.value.code == "RANGE_ERROR"

@@ -242,10 +242,10 @@ def annotate_calls(query: str, variables: dict) -> "dict[str, int]":
 
         return call
 
-    with mock.patch.multiple(
-        builtins_module,
-        annotate_batches=counted("batches", builtins_module.annotate_batches),
-        annotate_rows=counted("rows", builtins_module.annotate_rows),
+    with mock.patch.object(
+        runtime, "annotate_batches", counted("batches", runtime.annotate_batches)
+    ), mock.patch.object(
+        builtins_module, "annotate_rows", counted("rows", builtins_module.annotate_rows)
     ), mock.patch.object(frame_module, "_put_rows", counted("puts", frame_module._put_rows)):
         run_query_lines(query, variables)
     return calls
